@@ -141,7 +141,7 @@ class SnapshotRecomputeBaseline:
         self._last_answer = answer
         if not report_new:
             return []
-        new_pairs = [pair for pair in answer if pair not in self.results.distinct_pairs]
+        new_pairs = [pair for pair in answer if pair not in self.results]
         for source, target in new_pairs:
             self.results.report(source, target, now)
         return new_pairs

@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from array import array
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -52,6 +53,7 @@ from ..errors import CheckpointError
 from ..graph.window import WindowSpec
 from ..regex.analysis import QueryAnalysis
 from .rapq import RAPQEvaluator
+from .results import ResultStream
 
 __all__ = [
     "checkpoint_rapq",
@@ -141,14 +143,13 @@ def checkpoint_rapq(evaluator: RAPQEvaluator) -> Dict:
             }
         )
 
+    # Result rows straight from the stream's columns (no event objects).
+    results = evaluator.results
     events = [
-        {
-            "timestamp": event.timestamp,
-            "source": event.source,
-            "target": event.target,
-            "positive": event.positive,
-        }
-        for event in evaluator.results.events
+        {"timestamp": timestamp, "source": source, "target": target, "positive": bool(sign)}
+        for timestamp, source, target, sign in zip(
+            results.timestamps, results.sources, results.targets, results.signs
+        )
     ]
 
     # The iteration orders the algorithms observe (format 2): which trees a
@@ -176,7 +177,7 @@ def checkpoint_rapq(evaluator: RAPQEvaluator) -> Dict:
         "results": events,
         # Emission keys (one per result event) make the stream mergeable
         # with sibling root partitions; see repro.core.partition.
-        "emission": {"seq": evaluator.emission_seq, "keys": list(evaluator.emission_keys)},
+        "emission": {"seq": evaluator.emission_seq, "keys": evaluator.emission_keys.tolist()},
     }
     if evaluator.partition is not None:
         state["partition"] = {
@@ -311,28 +312,27 @@ def _restore_rapq_checked(state: Dict, query, order_exact: bool) -> RAPQEvaluato
             [(target, [(source, label) for source, label in keys]) for target, keys in state["in_adjacency"]]
         )
 
-    for event in state["results"]:
-        if event["positive"]:
-            evaluator.results.report(event["source"], event["target"], event["timestamp"])
-        else:
-            evaluator.results.invalidate(event["source"], event["target"], event["timestamp"])
+    rows = state["results"]
+    evaluator.results = ResultStream.from_columns(
+        array("q", [row["timestamp"] for row in rows]),
+        [row["source"] for row in rows],
+        [row["target"] for row in rows],
+        bytearray(1 if row["positive"] else 0 for row in rows),
+    )
 
     emission = state.get("emission")
     if emission is not None:
-        keys = list(emission["keys"])
-        if len(keys) != len(state["results"]):
-            raise ValueError(
-                f"corrupt checkpoint: {len(keys)} emission keys for "
-                f"{len(state['results'])} result events"
-            )
+        keys = array("q", emission["keys"])
+        if len(keys) != len(rows):
+            raise ValueError(f"corrupt checkpoint: {len(keys)} emission keys for {len(rows)} result events")
         evaluator._emission_keys = keys
         evaluator._emission_seq = int(emission["seq"])
     else:
         # Pre-emission checkpoint: synthesize strictly increasing keys so
         # the recorded history order survives any later merge verbatim,
         # and resume the counter past them.
-        evaluator._emission_keys = list(range(1, len(state["results"]) + 1))
-        evaluator._emission_seq = len(state["results"])
+        evaluator._emission_keys = array("q", range(1, len(rows) + 1))
+        evaluator._emission_seq = len(rows)
 
     evaluator._current_time = state.get("current_time")
     evaluator._last_expiry_boundary = state.get("last_expiry_boundary")

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
@@ -685,7 +686,7 @@ class ColumnarRAPQEvaluator(RAPQEvaluator):
             }
         )
         columnar.results = evaluator.results
-        columnar._emission_keys = list(evaluator._emission_keys)
+        columnar._emission_keys = array("q", evaluator._emission_keys)
         columnar._emission_seq = evaluator._emission_seq
         columnar._current_time = evaluator._current_time
         columnar._last_expiry_boundary = evaluator._last_expiry_boundary
@@ -740,7 +741,7 @@ class ColumnarRAPQEvaluator(RAPQEvaluator):
             }
         )
         scalar.results = self.results.copy()
-        scalar._emission_keys = list(self._emission_keys)
+        scalar._emission_keys = array("q", self._emission_keys)
         scalar._emission_seq = self._emission_seq
         scalar._current_time = self._current_time
         scalar._last_expiry_boundary = self._last_expiry_boundary

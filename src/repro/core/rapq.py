@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -120,7 +121,7 @@ class RAPQEvaluator:
         # partitions), so merging partition streams by (key, root) is
         # exact; see repro.core.partition.
         self._emission_seq = 0
-        self._emission_keys: List[int] = []
+        self._emission_keys = array("q")
         self._current_time: Optional[int] = None
         self._last_expiry_boundary: Optional[int] = None
         # Counters used by the experiment harness.
@@ -205,8 +206,8 @@ class RAPQEvaluator:
         return self._emission_seq
 
     @property
-    def emission_keys(self) -> Tuple[int, ...]:
-        """Per-event emission keys, parallel to ``results.events``.
+    def emission_keys(self) -> array:
+        """Per-event emission keys (a copy, ``array('q')``), parallel to ``results``.
 
         Key ``i`` is the value of :attr:`emission_seq` when event ``i``
         was produced.  Together with the event's ``source`` (its tree
@@ -214,7 +215,7 @@ class RAPQEvaluator:
         result streams into the exact unpartitioned stream
         (:func:`repro.runtime.merger.merge_partition_events`).
         """
-        return tuple(self._emission_keys)
+        return array("q", self._emission_keys)
 
     def _report(self, source: Vertex, target: Vertex, timestamp: int) -> None:
         """Append a positive result, tagged with the current emission key."""

@@ -341,7 +341,7 @@ class RSPQEvaluator:
                     and child_vertex != tree.root_vertex
                     and (
                         first_occurrence
-                        or (tree.root_vertex, child_vertex) not in self.results.distinct_pairs
+                        or (tree.root_vertex, child_vertex) not in self.results
                     )
                 ):
                     self.results.report(tree.root_vertex, child_vertex, now)

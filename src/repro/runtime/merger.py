@@ -16,6 +16,8 @@ ties across streams are broken deterministically by input position.
 from __future__ import annotations
 
 import heapq
+from array import array
+from itertools import count, repeat
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from ..core.partition import vertex_sort_key
@@ -65,44 +67,56 @@ def merge_result_streams(streams: Dict[str, ResultStream]) -> List[TaggedResultE
     return list(merge_result_events({name: stream.events for name, stream in streams.items()}))
 
 
-def merge_partition_events(
-    parts: Sequence[Tuple[Sequence[ResultEvent], Sequence[int]]],
-) -> ResultStream:
+def merge_partition_events(parts: Sequence[Tuple[ResultStream, Sequence[int]]]) -> ResultStream:
     """Reassemble root-partition result streams into the exact global stream.
 
-    Each input is one partition's ``(events, emission_keys)`` pair as
+    Each input is one partition's ``(stream, emission_keys)`` pair as
     produced by a root-partitioned
     :class:`~repro.core.rapq.RAPQEvaluator`.  The merge key is
-    ``(emission key, vertex_sort_key(event.source))``: the emission key
-    pins the relevant tuple that produced the event (every partition
-    counts the same relevant-tuple sequence), and the event's ``source``
-    is its spanning-tree root, which the evaluator visits in canonical
+    ``(emission key, vertex_sort_key(source))``: the emission key pins
+    the relevant tuple that produced the event (every partition counts
+    the same relevant-tuple sequence), and the event's ``source`` is its
+    spanning-tree root, which the evaluator visits in canonical
     :func:`~repro.core.partition.vertex_sort_key` order within a tuple.
     Events with equal keys come from the same tree, hence the same
     partition, where their relative order is already correct — so the
     stable k-way merge reproduces the unpartitioned evaluator's stream
     bit-for-bit (order and content, deletions included).
 
+    The merge runs over the streams' columns and gathers the merged
+    columns directly; no per-event object is built.
+
     Args:
-        parts: per-partition ``(events, keys)`` pairs; ``keys`` must be
-            parallel to ``events``.
+        parts: per-partition ``(stream, keys)`` pairs; ``keys`` must be
+            parallel to the stream's events.
 
     Returns:
-        one :class:`~repro.core.results.ResultStream` with the merged
-        events replayed in order (so distinct/active-pair bookkeeping
-        matches the unpartitioned evaluator's).
+        one :class:`~repro.core.results.ResultStream` holding the merged
+        events in order (so distinct/active-pair bookkeeping matches the
+        unpartitioned evaluator's).
 
     Raises:
         ValueError: if any partition's key list does not match its events.
     """
-    keyed: List[List[Tuple[Tuple, ResultEvent]]] = []
-    for events, keys in parts:
-        if len(events) != len(keys):
-            raise ValueError(f"partition stream has {len(events)} events but {len(keys)} emission keys")
-        keyed.append([((key, vertex_sort_key(event.source)), event) for event, key in zip(events, keys)])
-    combined = ResultStream()
-    combined.extend(event for _, event in heapq.merge(*keyed, key=lambda item: item[0]))
-    return combined
+    runs = []
+    for index, (stream, keys) in enumerate(parts):
+        if len(stream) != len(keys):
+            raise ValueError(f"partition stream has {len(stream)} events but {len(keys)} emission keys")
+        # The trailing (partition, row) breaks ties the way a stable merge
+        # does: by partition, then by position in the partition's stream.
+        runs.append(zip(keys, map(vertex_sort_key, stream.sources), repeat(index), count()))
+    streams = [stream for stream, _ in parts]
+    timestamps = array("q")
+    sources: List = []
+    targets: List = []
+    signs = bytearray()
+    for _key, _root, index, row in heapq.merge(*runs):
+        stream = streams[index]
+        timestamps.append(stream.timestamps[row])
+        sources.append(stream.sources[row])
+        targets.append(stream.targets[row])
+        signs.append(stream.signs[row])
+    return ResultStream.from_columns(timestamps, sources, targets, signs)
 
 
 def collect_results(streams: Iterable[ResultStream]) -> ResultStream:

@@ -52,12 +52,14 @@ Two shapes travel on the request queue:
                    string (evaluator state, bytes in / bytes out;
                    partition membership rides inside the blob)          ``None``
     ``DEREGISTER`` ``name``                                             ``None``
-    ``RESULTS``    ``name``                                             tuple of event wire
-                                                                        forms ``(tau, x, y,
-                                                                        positive)``
-    ``PRESULTS``   ``name``                                             ``(events, keys)`` —
-                                                                        the event wire forms
-                                                                        plus the parallel
+    ``RESULTS``    ``name``                                             the stream's packed
+                                                                        columns ``(timestamps,
+                                                                        sources, targets,
+                                                                        signs)``
+    ``PRESULTS``   ``name``                                             ``(columns, keys)`` —
+                                                                        the packed columns
+                                                                        plus the ``array('q')``
+                                                                        bytes of the parallel
                                                                         emission keys needed
                                                                         to merge partition
                                                                         streams exactly
@@ -137,9 +139,9 @@ Two shapes travel on the request queue:
     ``ship_state`` is true (process transport, whose memory dies with the
     child) the reply carries the shard's final state
     ``(metrics, batches, queries)`` where each query entry is
-    ``(name, semantics, expression, blob_or_None, events_or_None)`` —
+    ``(name, semantics, expression, blob_or_None, columns_or_None)`` —
     arbitrary-semantics evaluators ship their full encoded state,
-    others ship their result events only.
+    others ship their result stream's packed columns only.
 
 Response frames (worker -> coordinator)
 =======================================
@@ -172,10 +174,14 @@ ordering under ``multiprocessing``):
 Encodings
 =========
 
-:func:`encode_batch` / :func:`decode_batch` and :func:`encode_events` /
-:func:`decode_events` are thin loops over the wire forms defined on
-:class:`~repro.graph.tuples.StreamingGraphTuple` and
-:class:`~repro.core.results.ResultEvent`.  Exceptions cross the wire as
+:func:`encode_batch` / :func:`decode_batch` are thin loops over the wire
+form defined on :class:`~repro.graph.tuples.StreamingGraphTuple`;
+:func:`encode_events` / :func:`decode_events` carry the live
+``(query, source, target, timestamp)`` records.  Result streams travel
+as packed columns (:meth:`~repro.core.results.ResultStream.to_wire`):
+integer columns as ``array`` bytes, the same way
+:class:`~repro.core.columnar.ColumnarBatch` ships its columns.
+Exceptions cross the wire as
 ``(type_name, message)`` via :func:`encode_exception` /
 :func:`decode_exception`, reconstructed against the library's exception
 registry (falling back to ``RuntimeError`` for unknown types).

@@ -44,7 +44,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 from ..core.checkpoint import canonical_bytes, decode_state
 from ..core.columnar import fastpath_name
 from ..core.partition import partition_checkpoint
-from ..core.results import ResultEvent, ResultStream
+from ..core.results import ResultStream
 from ..errors import ReplicationError, RuntimeStateError, WorkerUnavailableError
 from ..graph.tuples import StreamingGraphTuple, Vertex
 from ..graph.window import WindowSpec
@@ -1633,10 +1633,9 @@ class StreamingQueryService:
         parts = []
         for member in members:
             shard = self.router.shard_of(member)
-            events_wire, keys = self._with_failover(
-                shard, lambda: self.workers[shard].fetch_partition_results(member)
+            parts.append(
+                self._with_failover(shard, lambda: self.workers[shard].fetch_partition_results(member))
             )
-            parts.append(([ResultEvent.from_wire(wire) for wire in events_wire], keys))
         return merge_partition_events(parts)
 
     def answer_pairs(self, name: str) -> Set[Tuple[Vertex, Vertex]]:

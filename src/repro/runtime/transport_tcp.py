@@ -847,10 +847,13 @@ def _session_reader(
                 _LOG.warning("tcp worker session: coordinator link failed: %s", exc)
             got = None
         if got is None:
-            if not done.is_set():
+            # A full queue means the serve loop is still draining batches:
+            # wait for a slot, since a dropped STOP leaves it waiting forever.
+            while not done.is_set():
                 try:
-                    requests.put_nowait((protocol.CONTROL, -1, protocol.STOP, False))
-                except queue.Full:  # pragma: no cover - serve loop is draining
+                    requests.put((protocol.CONTROL, -1, protocol.STOP, False), timeout=_SELECT_SLICE_SECONDS)
+                    break
+                except queue.Full:
                     pass
             return
         frame = got[0]

@@ -46,6 +46,7 @@ import multiprocessing
 import queue
 import threading
 import time
+from array import array
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..core.checkpoint import canonical_bytes, decode_rapq, encode_rapq
@@ -254,7 +255,7 @@ class ShardEngineServer:
                     f"({registered.semantics!r} semantics); only RAPQ evaluators "
                     f"produce partition-mergeable streams"
                 )
-            return (registered.results.to_wire(), tuple(keys))
+            return (registered.results.to_wire(), keys.tobytes())
         if op == protocol.CHECKPOINT:
             # Bare name, or ``(name, trace_ctx)`` from a tracing coordinator.
             name, ctx = payload if isinstance(payload, tuple) else (payload, None)
@@ -449,8 +450,8 @@ class ShardEngineServer:
         """Final shard state shipped in the ``STOP`` reply.
 
         Arbitrary evaluators ship their full encoded state; others ship
-        their result events only (their tree state cannot be serialized,
-        see :mod:`repro.core.checkpoint`).
+        their result stream's packed columns only (their tree state cannot
+        be serialized, see :mod:`repro.core.checkpoint`).
         """
         queries = []
         for registered in self.engine.queries():
@@ -503,8 +504,7 @@ class ShardEngineServer:
                 self.engine.register_evaluator(name, promote_evaluator(decode_rapq(blob)), semantics)
             else:
                 registered = self.engine.register(name, expression, semantics)
-                if events:
-                    registered.evaluator.results = ResultStream.from_wire(events)
+                registered.evaluator.results = ResultStream.from_wire(events)
                 if batches:
                     degraded.append(name)
         return tuple(degraded)
@@ -832,16 +832,18 @@ class ShardWorker:
         """A consistent point-in-time copy of one query's result stream."""
         return ResultStream.from_wire(self.request(protocol.RESULTS, name))
 
-    def fetch_partition_results(self, name: str) -> Tuple[Tuple, Tuple[int, ...]]:
-        """One partition's ``(event wire forms, emission keys)`` pair.
+    def fetch_partition_results(self, name: str) -> Tuple[ResultStream, array]:
+        """One partition's ``(result stream, emission keys)`` pair.
 
         The keys are what :func:`~repro.runtime.merger.merge_partition_events`
         needs to reassemble sibling partitions' streams into the exact
         unpartitioned stream; fetching them with the events (one control
         frame) keeps the pair consistent under concurrent batches.
         """
-        events, keys = self.request(protocol.PARTITION_RESULTS, name)
-        return events, keys
+        stream, key_bytes = self.request(protocol.PARTITION_RESULTS, name)
+        keys = array("q")
+        keys.frombytes(key_bytes)
+        return ResultStream.from_wire(stream), keys
 
     def checkpoint_query(self, name: str, trace_ctx=None) -> bytes:
         """Encode one query's evaluator state (bytes out, ships anywhere)."""

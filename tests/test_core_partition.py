@@ -46,7 +46,7 @@ def run_full(stream, query=QUERY, window=WINDOW):
 
 
 def merge_parts(parts):
-    return merge_partition_events([(p.results.events, p.emission_keys) for p in parts])
+    return merge_partition_events([(p.results, p.emission_keys) for p in parts])
 
 
 class TestOwnershipFunctions:
@@ -207,5 +207,5 @@ class TestPartitionCheckpoint:
         keys = restored.emission_keys
         assert list(keys) == list(range(1, len(source.results.events) + 1))
         # merging a single stream with synthesized keys preserves history
-        merged = merge_partition_events([(restored.results.events, keys)])
+        merged = merge_partition_events([(restored.results, keys)])
         assert merged.events == source.results.events

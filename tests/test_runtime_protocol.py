@@ -13,11 +13,12 @@ import pytest
 from repro import ConfigError, WindowSpec, WireProtocolError, sgt
 from repro.core.checkpoint import checkpoint_rapq, decode_rapq, encode_rapq
 from repro.core.rapq import RAPQEvaluator
-from repro.core.results import ResultEvent, ResultStream
+from repro.core.results import ResultStream
 from repro.errors import ConflictBudgetExceeded, ShardWorkerError, StreamOrderError
 from repro.graph.tuples import EdgeOp, StreamingGraphTuple
 from repro.runtime import RuntimeConfig, ShardEngineServer, create_worker
 from repro.runtime import protocol
+from repro.runtime.transport_tcp import decode_value, encode_value
 
 
 class TestTupleWireForm:
@@ -38,9 +39,17 @@ class TestTupleWireForm:
 
 
 class TestResultWireForm:
-    def test_event_round_trip(self):
-        event = ResultEvent(timestamp=3, source="x", target="y", positive=False)
-        assert ResultEvent.from_wire(event.to_wire()) == event
+    def test_stream_wire_form_is_packed_columns(self):
+        stream = ResultStream()
+        stream.report("x", 4, 3)
+        stream.invalidate("x", 4, 5)
+        timestamps, sources, targets, signs = stream.to_wire()
+        assert isinstance(timestamps, bytes) and len(timestamps) == 2 * 8
+        assert (sources, targets, signs) == (("x", "x"), (4, 4), b"\x01\x00")
+        # the packed form survives the tcp transport's codec unchanged
+        copy = ResultStream.from_wire(decode_value(encode_value(stream.to_wire())))
+        assert copy.events == stream.events
+        assert copy.active_pairs == set() and copy.distinct_pairs == {("x", 4)}
 
     def test_stream_round_trip_preserves_bookkeeping(self):
         stream = ResultStream()

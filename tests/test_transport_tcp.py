@@ -26,6 +26,7 @@ from repro.runtime.config import parse_worker_address
 from repro.runtime.transport_tcp import (
     MAX_FRAME_BYTES,
     WIRE_VERSION,
+    _session_reader,
     decode_value,
     encode_frame,
     encode_value,
@@ -335,6 +336,25 @@ class TestDialAndHandshake:
 
 
 class TestMidStreamFailure:
+    def test_disconnect_with_full_request_queue_still_stops_the_serve_loop(self):
+        """A link lost while the serve loop drains a full queue must not drop the STOP."""
+        left, right = frame_pipe()
+        right.close()  # the coordinator is gone: the reader sees EOF at once
+        requests = queue.Queue(maxsize=1)
+        requests.put(("BATCH", "still being drained"))
+        done = threading.Event()
+        reader = threading.Thread(target=_session_reader, args=(left, requests, 5.0, done), daemon=True)
+        try:
+            reader.start()
+            time.sleep(0.3)  # the reader meets the full queue before the serve loop drains it
+            assert requests.get(timeout=5.0) == ("BATCH", "still being drained")
+            assert requests.get(timeout=5.0)[2] == "STOP"
+            reader.join(timeout=5.0)
+            assert not reader.is_alive()
+        finally:
+            done.set()
+            left.close()
+
     def test_server_drop_mid_stream_poisons_shard_sticky(self):
         """A vanished worker surfaces as WorkerUnavailableError, then sticks."""
         server = TcpWorkerServer("127.0.0.1", 0)
