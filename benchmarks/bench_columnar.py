@@ -1,19 +1,17 @@
-"""Columnar fast path — batched vectorized evaluation vs the scalar engine.
+"""Columnar fast path — batched columnar evaluation vs the scalar engine.
 
 Not a figure of the paper: this benchmark measures the columnar hot path
 (:mod:`repro.core.columnar`) added on top of it.  The multi-query workload
-of ``bench_runtime_scaling`` is evaluated three ways on the same host:
+of ``bench_runtime_scaling`` is evaluated two ways on the same host:
 
 * **scalar** — plain :class:`~repro.core.rapq.RAPQEvaluator` objects fed
   tuple at a time through the engine (the pre-columnar hot path);
 * **columnar** — :class:`~repro.core.columnar.ColumnarRAPQEvaluator`
   objects fed :class:`~repro.core.columnar.ColumnarBatch` batches through
   ``engine.process_batch`` (batch construction included in the timing —
-  it is part of the path);
-* **pure** — the same columnar path with the numpy kernels disabled
-  (``set_implementation("pure")``), measuring the fallback floor.
+  it is part of the path).
 
-All three must produce exactly the same result triples — the fast path is
+Both must produce exactly the same result triples — the fast path is
 a transport/layout change, never a semantic one.  Each configuration is
 warmed once and timed as the best of ``ROUNDS`` runs, so the committed
 ratios are not skewed by cold caches on whichever configuration happens
@@ -26,21 +24,17 @@ engine's label-routing map already skips irrelevant tuples with one dict
 lookup per tuple.  The columnar win is therefore confined to per-tuple
 dispatch overhead — batch construction, clock advancement collapsed to
 per-run boundary scans, interned int keys instead of string tuples —
-which measures at ~1.25-1.5x with numpy on dense workloads (flat across
-relevance fractions from 12% to 80%).  Raw throughput is
+which measures at ~1.25-1.55x on dense workloads (flat across relevance
+fractions from 12% to 80%).  Raw throughput is
 machine-dependent, so the JSON record gates on same-run *ratios*:
 ``columnar_vs_scalar_speedup`` (strict target >= 1.2x; the regression
-gate's conservative floor is 1.1x) and ``pure_vs_scalar_speedup``
-(floor 0.9x — the fallback must not land meaningfully below the scalar
-path it replaces).  The ratios are asserted here only when
-``REPRO_BENCH_STRICT=1`` is set, so shared/noisy CI runners track the
+gate's conservative floor is 1.1x).  The ratio is asserted here only
+when ``REPRO_BENCH_STRICT=1`` is set, so shared/noisy CI runners track the
 trajectory without flaking the build; ``check_regression.py`` enforces
-the floors on main.
+the floor on main.
 
 Besides the human-readable table, the run emits machine-readable
 ``results/BENCH_columnar.json`` so the trajectory is tracked across PRs.
-Without numpy installed only the ``pure_vs_scalar_speedup`` ratio is
-recorded.
 """
 
 from __future__ import annotations
@@ -50,7 +44,7 @@ import os
 import platform
 import time
 
-from repro.core.columnar import ColumnarBatch, fastpath_name, have_numpy, set_implementation
+from repro.core.columnar import ColumnarBatch
 from repro.core.engine import StreamingRPQEngine
 from repro.core.rapq import RAPQEvaluator
 from repro.datasets.synthetic import UniformStreamGenerator
@@ -74,7 +68,7 @@ _SCALES = {
 BATCH_SIZE = 512
 
 #: Timed runs per configuration (best-of, after one warm-up of the
-#: columnar path primes allocator/caches for every configuration).
+#: columnar path primes allocator/caches for both configurations).
 ROUNDS = 2
 
 #: Strict-mode expectations (opt-in via REPRO_BENCH_STRICT=1; the
@@ -83,7 +77,6 @@ ROUNDS = 2
 #: target is 1.2x and not higher: the tree mutations dominating dense
 #: runs are shared work, and the scalar baseline already label-routes.
 _EXPECTED_COLUMNAR_SPEEDUP = 1.2
-_EXPECTED_PURE_FLOOR = 0.9
 
 
 def build_workload(scale: str):
@@ -138,44 +131,20 @@ def _best_of(runner, stream, window, expected=None):
 
 def columnar_benchmark(scale: str):
     stream, window = build_workload(scale)
-    run_columnar(stream, window)  # warm-up: prime caches for all configurations
+    run_columnar(stream, window)  # warm-up: prime caches for both configurations
     scalar_seconds, expected = _best_of(run_scalar, stream, window)
-    rows = [("scalar (per tuple)", scalar_seconds, len(stream) / scalar_seconds, 1.0)]
-    ratios = {}
-
-    if have_numpy():
-        columnar_seconds, _ = _best_of(run_columnar, stream, window, expected)
-        ratios["columnar_vs_scalar_speedup"] = scalar_seconds / columnar_seconds
-        rows.append(
-            (
-                f"columnar numpy (batch {BATCH_SIZE})",
-                columnar_seconds,
-                len(stream) / columnar_seconds,
-                scalar_seconds / columnar_seconds,
-            )
-        )
-
-    set_implementation("pure")
-    try:
-        pure_seconds, _ = _best_of(run_columnar, stream, window, expected)
-    finally:
-        set_implementation(None)
-    ratios["pure_vs_scalar_speedup"] = scalar_seconds / pure_seconds
-    rows.append(
-        (
-            f"columnar pure (batch {BATCH_SIZE})",
-            pure_seconds,
-            len(stream) / pure_seconds,
-            scalar_seconds / pure_seconds,
-        )
-    )
-    return len(stream), rows, ratios
+    columnar_seconds, _ = _best_of(run_columnar, stream, window, expected)
+    speedup = scalar_seconds / columnar_seconds
+    rows = [
+        ("scalar (per tuple)", scalar_seconds, len(stream) / scalar_seconds, 1.0),
+        (f"columnar (batch {BATCH_SIZE})", columnar_seconds, len(stream) / columnar_seconds, speedup),
+    ]
+    return len(stream), rows, {"columnar_vs_scalar_speedup": speedup}
 
 
 def render(num_tuples, rows) -> str:
     lines = [
-        f"Columnar fast path — {num_tuples} tuples, {len(QUERIES)} queries "
-        f"(active kernels: {fastpath_name()})",
+        f"Columnar fast path — {num_tuples} tuples, {len(QUERIES)} queries",
         f"{'configuration':<28} {'seconds':>8} {'edges/s':>12} {'speedup':>8}",
     ]
     for name, seconds, eps, speedup in rows:
@@ -193,7 +162,6 @@ def write_json(path, scale, num_tuples, ratios) -> None:
         "queries": list(QUERIES),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
-        "numpy": have_numpy(),
         **ratios,
     }
     with open(path, "w") as handle:
@@ -213,19 +181,10 @@ def test_columnar_speedup(benchmark, save_result, results_dir, bench_scale):
     for _, seconds, eps, _ in rows:
         assert seconds > 0 and eps > 0
 
-    pure = ratios["pure_vs_scalar_speedup"]
-    print(f"[pure vs scalar: {pure:.2f}x]")
-    strict = os.environ.get("REPRO_BENCH_STRICT") == "1"
-    if "columnar_vs_scalar_speedup" in ratios:
-        col = ratios["columnar_vs_scalar_speedup"]
-        print(f"[columnar (numpy) vs scalar: {col:.2f}x]")
-        if strict:
-            assert col > _EXPECTED_COLUMNAR_SPEEDUP, (
-                f"columnar fast path is only {col:.2f}x the scalar engine; "
-                f"expected > {_EXPECTED_COLUMNAR_SPEEDUP}x"
-            )
-    if strict:
-        assert pure > _EXPECTED_PURE_FLOOR, (
-            f"pure-Python columnar path is {pure:.2f}x the scalar engine; "
-            f"the fallback must stay above {_EXPECTED_PURE_FLOOR}x"
+    col = ratios["columnar_vs_scalar_speedup"]
+    print(f"[columnar vs scalar: {col:.2f}x]")
+    if os.environ.get("REPRO_BENCH_STRICT") == "1":
+        assert col > _EXPECTED_COLUMNAR_SPEEDUP, (
+            f"columnar fast path is only {col:.2f}x the scalar engine; "
+            f"expected > {_EXPECTED_COLUMNAR_SPEEDUP}x"
         )

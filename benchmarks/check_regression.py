@@ -28,12 +28,10 @@ production-realistic configuration) — both relative to the untraced
 baseline of the same run set, with the widened relative tolerance of the
 network gates because the priced effect is a few percent while
 same-host scheduler noise swings runs by more than that.  The
-columnar record carries two absolute floors of its own:
+columnar record carries an absolute floor of its own:
 ``columnar_vs_scalar_speedup`` must stay above 1.1x (the batched path
 must remain a win over per-tuple dispatch — see ``bench_columnar.py``
-for why the honest ceiling is ~1.5x, not higher) and
-``pure_vs_scalar_speedup`` above 0.9x (the no-numpy fallback must not
-land meaningfully below the scalar path it replaces).  The network
+for why the honest ceiling is ~1.5x, not higher).  The network
 record (``tcp_relative_throughput``, loopback-TCP-worker over
 multiprocessing ingestion of the same run pair) carries an absolute
 floor of 0.3 — the socket transport must stay within a small factor of
@@ -96,11 +94,9 @@ OBSERVABILITY_FLOOR = 0.95
 TRACING_SAMPLED_OFF_FLOOR = 0.97
 TRACING_SAMPLED_FLOOR = 0.95
 
-#: Absolute floors on the columnar record: the numpy fast path must beat
-#: per-tuple scalar dispatch, and the pure-Python fallback must not land
-#: meaningfully below it.
+#: Absolute floor on the columnar record: the batched columnar path must
+#: beat per-tuple scalar dispatch.
 COLUMNAR_FLOOR = 1.1
-COLUMNAR_PURE_FLOOR = 0.9
 
 #: Absolute floor on the network record: loopback tcp workers must keep at
 #: least this fraction of the multiprocessing backend's throughput.
@@ -200,7 +196,7 @@ def compare_scalar_metric(
     (``modeled_parallel_speedup``), the durability record
     (``wal_relative_throughput``), the observability record
     (``instrumented_relative_throughput``), the columnar record
-    (``columnar_vs_scalar_speedup`` / ``pure_vs_scalar_speedup``) and the
+    (``columnar_vs_scalar_speedup``) and the
     network record (``tcp_relative_throughput``) — each
     a same-host ratio of two runs, so machine speed cancels out.  Both sides are optional (the
     benchmark may not have been rerun, or the record may predate this
@@ -310,14 +306,6 @@ def main(argv: list[str] | None = None) -> int:
         "columnar",
         key="columnar_vs_scalar_speedup",
         floor=COLUMNAR_FLOOR,
-    )
-    regressions += compare_scalar_metric(
-        repo_root,
-        args.tolerance,
-        COLUMNAR_RESULT,
-        "columnar-pure",
-        key="pure_vs_scalar_speedup",
-        floor=COLUMNAR_PURE_FLOOR,
     )
     regressions += compare_scalar_metric(
         repo_root,

@@ -1,4 +1,4 @@
-"""Columnar batched hot path: vectorized RAPQ evaluation over interned ids.
+"""Columnar batched hot path: batch RAPQ evaluation over interned ids.
 
 This package is the performance layer of the core: it evaluates whole
 *batches* of streaming graph tuples at once instead of tuple-at-a-time,
@@ -6,22 +6,20 @@ over dense integer ids instead of Python strings:
 
 * :mod:`~repro.core.columnar.interning` — the boundary layer mapping
   vertex/label values to dense ``int32`` ids (and back);
-* :mod:`~repro.core.columnar.kernels` — the vectorized primitives
-  (relevance masking, monotonicity scan, expiry scans), each with a numpy
-  implementation and a tuned pure-Python fallback;
+* :mod:`~repro.core.columnar.kernels` — the column primitives
+  (relevance masking, monotonicity scan, expiry scans), plain Python
+  loops over the batch's ``array`` columns;
 * :mod:`~repro.core.columnar.batch` — :class:`ColumnarBatch`, the
-  struct-of-arrays batch representation and its packed wire form;
+  struct-of-arrays batch representation and its packed wire form, the
+  one form every batch takes from coordinator to evaluator;
 * :mod:`~repro.core.columnar.evaluator` —
   :class:`ColumnarRAPQEvaluator`, a drop-in
   :class:`~repro.core.rapq.RAPQEvaluator` whose internal state is fully
-  interned and whose batch entry point runs the vectorized pre-passes.
+  interned and whose batch entry point runs the column pre-passes.
 
-numpy is an *optional* dependency (the ``fast`` extra): when it is not
-installed — or when ``REPRO_FORCE_PURE=1`` is set — every kernel falls
-back to pure Python and the evaluator keeps working, bit-for-bit
-identically, just slower.  :func:`fastpath_name` reports which
-implementation is active; the runtime exports it as the
-``repro_fastpath_active`` gauge.
+The package has no third-party dependencies: the speed comes from the
+struct-of-arrays layout and the interned state, not from an array
+library.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 from .batch import COLUMNAR_MARKER, ColumnarBatch
 from .evaluator import ColumnarRAPQEvaluator
 from .interning import Interner
-from .kernels import fastpath_name, have_numpy, set_implementation
+from .kernels import fastpath_name
 
 __all__ = [
     "COLUMNAR_MARKER",
@@ -37,9 +35,7 @@ __all__ = [
     "ColumnarRAPQEvaluator",
     "Interner",
     "fastpath_name",
-    "have_numpy",
     "promote_evaluator",
-    "set_implementation",
 ]
 
 

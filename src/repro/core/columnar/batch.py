@@ -8,11 +8,14 @@ the wire form is self-contained: no interner state needs to be
 coordinated between coordinator and workers, across restarts, or through
 migrations.
 
-The packed wire form (:meth:`to_wire` / :meth:`from_wire`) stays within
-the worker protocol's "plain scalars, strings and bytes" discipline:
-columns travel as the raw bytes of stdlib ``array`` buffers, tables as
-tuples of scalars.  On the receiving side the byte columns rebuild into
-``array`` objects, which numpy views zero-copy (``np.frombuffer``).
+Every batch takes this one form from coordinator to evaluator: the
+coordinator builds it, ``BATCH`` frames carry its packed wire form, and
+WAL replay and standby apply hand it to the engine directly.  The packed
+wire form (:meth:`to_wire` / :meth:`from_wire`) stays within the worker
+protocol's "plain scalars, strings and bytes" discipline: columns travel
+as the raw bytes of stdlib ``array`` buffers, tables as tuples of
+scalars.  :meth:`from_wire` validates a payload completely before
+returning, because its bytes may come from another machine.
 
 Tracing never touches these bytes: a sampled batch's trace context rides
 *beside* the payload as an optional trailing ``BATCH`` frame element, so
@@ -24,16 +27,22 @@ from __future__ import annotations
 from array import array
 from typing import List, Optional, Sequence, Tuple
 
+from ...errors import WireProtocolError
 from ...graph.tuples import EdgeOp, StreamingGraphTuple
 
 __all__ = ["COLUMNAR_MARKER", "ColumnarBatch"]
 
-#: First element of a columnar ``BATCH`` payload.  Legacy row payloads are
-#: tuples of ``(tau, u, v, l, op)`` wire forms whose first element is a
-#: tuple, never this string — so one marker test distinguishes the forms
-#: and old workers/coordinators interoperate with new ones (a coordinator
-#: configured with ``wire_format="rows"`` speaks the legacy form only).
+#: First element of a packed ``BATCH`` payload.
 COLUMNAR_MARKER = "COL1"
+
+#: ``(name, array typecode)`` of the five byte columns, in payload order.
+_COLUMNS = (
+    ("timestamps", "q"),
+    ("sources", "i"),
+    ("targets", "i"),
+    ("labels", "i"),
+    ("deletes", "b"),
+)
 
 
 class ColumnarBatch:
@@ -129,33 +138,42 @@ class ColumnarBatch:
 
     @classmethod
     def from_wire(cls, payload: Tuple) -> "ColumnarBatch":
-        """Decode a payload produced by :meth:`to_wire`."""
-        marker, _count, ts_bytes, src_bytes, dst_bytes, lbl_bytes, del_bytes = payload[:7]
-        if marker != COLUMNAR_MARKER:
-            raise ValueError(f"not a columnar batch payload (marker {marker!r})")
-        timestamps = array("q")
-        timestamps.frombytes(ts_bytes)
-        sources = array("i")
-        sources.frombytes(src_bytes)
-        targets = array("i")
-        targets.frombytes(dst_bytes)
-        labels = array("i")
-        labels.frombytes(lbl_bytes)
-        deletes = array("b")
-        deletes.frombytes(del_bytes)
-        return cls(timestamps, sources, targets, labels, deletes, tuple(payload[7]), tuple(payload[8]))
+        """Decode a payload produced by :meth:`to_wire`.
 
-    @staticmethod
-    def is_wire(payload) -> bool:
-        """Whether a ``BATCH`` payload is the packed columnar form."""
-        return bool(payload) and payload[0] == COLUMNAR_MARKER
+        Raises:
+            WireProtocolError: the payload is not a packed batch (wrong
+                marker or shape), a column's length differs from the
+                tuple count, or a vertex or label id falls outside its
+                table.  Nothing has been applied anywhere when it raises.
+        """
+        if not isinstance(payload, (tuple, list)) or len(payload) != 9 or payload[0] != COLUMNAR_MARKER:
+            raise WireProtocolError(
+                f"not a columnar BATCH payload: expected 9 elements led by {COLUMNAR_MARKER!r}"
+            )
+        count = payload[1]
+        columns = []
+        for (name, typecode), data in zip(_COLUMNS, payload[2:7]):
+            column = array(typecode)
+            if not isinstance(data, bytes) or len(data) != count * column.itemsize:
+                raise WireProtocolError(f"BATCH column {name!r} does not hold {count!r} items")
+            column.frombytes(data)
+            columns.append(column)
+        vertex_table = tuple(payload[7])
+        label_table = tuple(payload[8])
+        if not (
+            _ids_below(payload[3], len(vertex_table))
+            and _ids_below(payload[4], len(vertex_table))
+            and _ids_below(payload[5], len(label_table))
+        ):
+            raise WireProtocolError("BATCH vertex or label id outside its table")
+        return cls(*columns, vertex_table, label_table)
 
     # ------------------------------------------------------------------ #
-    # Row access (fallback paths)
+    # Row access (scalar evaluators)
     # ------------------------------------------------------------------ #
 
     def tuples(self) -> List[StreamingGraphTuple]:
-        """Materialize the batch as tuples (cached; used by scalar fallbacks)."""
+        """Materialize the batch as tuples (cached; for tuple-at-a-time evaluators)."""
         if self._materialized is None:
             vertex_table = self.vertex_table
             label_table = self.label_table
@@ -179,3 +197,11 @@ class ColumnarBatch:
             f"ColumnarBatch(n={len(self.timestamps)}, vertices={len(self.vertex_table)}, "
             f"labels={len(self.label_table)})"
         )
+
+
+def _ids_below(data: bytes, size: int) -> bool:
+    """Whether every ``'i'`` id packed in ``data`` lies in ``[0, size)``.
+
+    Read as unsigned, a negative id is huge, so one ``max`` checks both ends.
+    """
+    return not data or max(memoryview(data).cast("I")) < size

@@ -1,4 +1,4 @@
-"""The columnar RAPQ evaluator: batched, vectorized, fully interned.
+"""The columnar RAPQ evaluator: batched, fully interned.
 
 :class:`ColumnarRAPQEvaluator` is a drop-in subclass of
 :class:`~repro.core.rapq.RAPQEvaluator` whose internal state is keyed by
@@ -16,10 +16,10 @@ dense integer ids instead of vertex/label values:
   edges) instead of a full adjacency scan;
 * each spanning tree carries a minimum-timestamp lower bound so expiry
   skips trees that cannot possibly hold expired nodes, and the per-tree
-  scan itself runs through the vectorized kernels.
+  scan itself runs through the column kernels.
 
 The batch entry point :meth:`ColumnarRAPQEvaluator.process_batch` adds
-the vectorized pre-passes: relevance filtering of a whole
+the column pre-passes: relevance filtering of a whole
 :class:`~repro.core.columnar.batch.ColumnarBatch` via the label table,
 and a single monotonicity scan per irrelevant run.  Parity is *by
 construction*: the pre-passes only decide **which** per-tuple mutations
@@ -205,7 +205,7 @@ class _ColTreeIndex(TreeIndex):
 
 
 class ColumnarRAPQEvaluator(RAPQEvaluator):
-    """Algorithm RAPQ over interned ids, with a vectorized batch entry point.
+    """Algorithm RAPQ over interned ids, with a batch entry point.
 
     Behaviourally identical to :class:`~repro.core.rapq.RAPQEvaluator` —
     same results in the same order, same emission keys, same stats, same
@@ -213,7 +213,7 @@ class ColumnarRAPQEvaluator(RAPQEvaluator):
     lookups instead of dict-of-tuples walks, queue pops instead of full
     scans.  :meth:`process` keeps the scalar tuple-at-a-time interface;
     :meth:`process_batch` evaluates a whole
-    :class:`~repro.core.columnar.batch.ColumnarBatch` with vectorized
+    :class:`~repro.core.columnar.batch.ColumnarBatch` with column
     pre-passes and a deterministic ordered drain.
 
     Unlike the scalar evaluator it always owns its snapshot (a shared
@@ -289,7 +289,7 @@ class ColumnarRAPQEvaluator(RAPQEvaluator):
     def process_batch(self, batch: ColumnarBatch) -> List[Tuple[int, Vertex, Vertex]]:
         """Evaluate a whole batch; return ``(batch_index, source, target)`` pairs.
 
-        The vectorized pre-passes — label-table relevance mapping and the
+        The column pre-passes — label-table relevance mapping and the
         per-run monotonicity scan — only *select* which per-tuple mutations
         run; relevant tuples are then drained strictly in stream order, so
         every observable (results, emission keys, stats, checkpoints) is
@@ -348,13 +348,13 @@ class ColumnarRAPQEvaluator(RAPQEvaluator):
         """Advance time over a run of irrelevant tuples ``[start, stop)``.
 
         Equivalent to calling :meth:`observe` once per tuple, but with one
-        vectorized monotonicity scan and at most one boundary walk: runs
-        that do not cross a slide boundary collapse into a single clock
-        assignment.  ``_current_time`` is set to the crossing tuple's
-        timestamp before each expiry (the scalar evaluator assigns the
-        clock before the boundary check, and expiry-time invalidations
-        carry that clock), and monotonicity violations surface the exact
-        scalar error with the exact scalar partial state.
+        monotonicity scan and at most one boundary walk: runs that do not
+        cross a slide boundary collapse into a single clock assignment.
+        ``_current_time`` is set to the crossing tuple's timestamp before
+        each expiry (the scalar evaluator assigns the clock before the
+        boundary check, and expiry-time invalidations carry that clock),
+        and monotonicity violations surface the exact scalar error with
+        the exact scalar partial state.
         """
         stats = self.stats
         offender = first_decrease(timestamps, start, stop, self._current_time)

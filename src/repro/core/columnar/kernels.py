@@ -1,36 +1,22 @@
-"""Vectorized kernels of the columnar hot path, with pure-Python fallbacks.
+"""Column kernels of the columnar hot path.
 
 The column kernels (:func:`map_labels`, :func:`relevant_indices`,
-:func:`first_decrease`, :func:`boundary_crossings`) have two
-implementations selected at call time:
-
-* ``"numpy"`` — array operations over zero-copy views of the batch's
-  ``array`` columns (``np.frombuffer``), active when numpy is importable;
-* ``"pure"`` — tuned pure-Python loops over the same columns, active when
-  numpy is missing or ``REPRO_FORCE_PURE=1`` is set in the environment.
-
-Both implementations are exact: they compute the same values in the same
-order, so the evaluator's observable behaviour (results, emission order,
-checkpoints) does not depend on which one runs.  :func:`set_implementation`
-switches at runtime — benchmarks and the differential tests use it to
-measure/compare both paths in one process.
+:func:`first_decrease`, :func:`boundary_crossings`) are tuned pure-Python
+loops over the batch's ``array`` columns.  They only *select* which
+per-tuple work runs, so the evaluator's observable behaviour (results,
+emission order, checkpoints) is exactly that of tuple-at-a-time dispatch.
 
 The tree-node scans (:func:`expired_node_keys`, :func:`min_timestamp`)
-are deliberately plain loops in both modes: node timestamps live inside
-Python objects, so numpy would have to *iterate* them anyway
-(``np.fromiter``) and the loop is the fast path.
+are plain loops too: node timestamps live inside Python objects.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, List, Optional, Sequence
 
 __all__ = [
     "fastpath_name",
-    "have_numpy",
-    "set_implementation",
     "map_labels",
     "relevant_indices",
     "first_decrease",
@@ -39,54 +25,13 @@ __all__ = [
     "min_timestamp",
 ]
 
-try:  # numpy is the optional "fast" extra; its absence is a supported mode
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
-#: Whether the environment forbids numpy regardless of availability.
-_FORCE_PURE = os.environ.get("REPRO_FORCE_PURE") == "1"
-
-#: Below this column length the numpy kernels fall back to plain loops:
-#: view construction and the fixed per-call numpy dispatch cost more than
-#: they save on short runs (measured crossover is around a few dozen).
-_SMALL = 64
-
-_active = "numpy" if (_np is not None and not _FORCE_PURE) else "pure"
-
-
-def have_numpy() -> bool:
-    """Whether numpy imported successfully (independent of the forced mode)."""
-    return _np is not None
-
 
 def fastpath_name() -> str:
-    """Name of the active kernel implementation: ``"numpy"`` or ``"pure"``."""
-    return _active
+    """Name of the kernel implementation, ``"pure"``; benchmark records carry it."""
+    return "pure"
 
 
-def set_implementation(name: Optional[str]) -> str:
-    """Select the kernel implementation at runtime; returns the active name.
-
-    ``None`` restores the import-time default (numpy when available and
-    not overridden by ``REPRO_FORCE_PURE=1``).  Benchmarks and tests use
-    this to exercise both paths in one process.
-
-    Raises:
-        ValueError: for an unknown name, or ``"numpy"`` without numpy.
-    """
-    global _active
-    if name is None:
-        name = "numpy" if (_np is not None and not _FORCE_PURE) else "pure"
-    if name not in ("numpy", "pure"):
-        raise ValueError(f"unknown kernel implementation {name!r}; expected 'numpy' or 'pure'")
-    if name == "numpy" and _np is None:
-        raise ValueError("cannot select the 'numpy' kernels: numpy is not installed")
-    _active = name
-    return _active
-
-
-def map_labels(label_ids: Sequence[int], label_map: List[int]):
+def map_labels(label_ids: Sequence[int], label_map: List[int]) -> List[int]:
     """Map per-tuple batch label ids through ``label_map`` (``-1`` = irrelevant).
 
     ``label_map`` is one evaluator's view of the batch's label table:
@@ -94,16 +39,11 @@ def map_labels(label_ids: Sequence[int], label_map: List[int]):
     or ``-1`` when the label is outside the query alphabet.  The result is
     indexable by tuple position.
     """
-    if _active == "numpy" and len(label_ids) >= _SMALL:
-        table = _np.asarray(label_map, dtype=_np.int32)
-        return table.take(_np.frombuffer(label_ids, dtype=_np.int32))
     return [label_map[lid] for lid in label_ids]
 
 
-def relevant_indices(mapped) -> List[int]:
+def relevant_indices(mapped: List[int]) -> List[int]:
     """Positions whose mapped label id is ``>= 0`` (relevant tuples), in order."""
-    if _np is not None and not isinstance(mapped, list):
-        return _np.flatnonzero(mapped >= 0).tolist()
     return [index for index, lid in enumerate(mapped) if lid >= 0]
 
 
@@ -113,19 +53,8 @@ def first_decrease(timestamps, start: int, stop: int, floor: Optional[int]) -> O
     A position violates when its timestamp is below ``floor`` (the
     evaluator's current time; ``None`` = no floor yet) for the first
     element, or below its predecessor for later ones.  Returns ``None``
-    when the whole range is non-decreasing — the common case, which the
-    numpy path answers with two vectorized comparisons.
+    when the whole range is non-decreasing — the common case.
     """
-    if stop <= start:
-        return None
-    if _active == "numpy" and stop - start >= _SMALL:
-        view = _np.frombuffer(timestamps, dtype=_np.int64)[start:stop]
-        if floor is not None and view[0] < floor:
-            return start
-        drops = _np.flatnonzero(view[1:] < view[:-1])
-        if drops.size:
-            return start + 1 + int(drops[0])
-        return None
     previous = floor if floor is not None else -math.inf
     for index in range(start, stop):
         value = timestamps[index]
@@ -147,14 +76,6 @@ def boundary_crossings(
     scalar evaluator's ``_advance_time`` triggers an expiry, so the caller
     can run expiries at only those positions and bulk-skip the rest.
     """
-    if _active == "numpy" and stop - start >= _SMALL:
-        view = _np.frombuffer(timestamps, dtype=_np.int64)[start:stop]
-        ends = (view // slide) * slide
-        first = int(_np.searchsorted(ends, last_boundary, side="right"))
-        if first >= len(ends):
-            return []
-        rest = _np.flatnonzero(ends[first + 1 :] > ends[first:-1]) + first + 1
-        return [start + first] + [start + int(index) for index in rest]
     crossings: List[int] = []
     for index in range(start, stop):
         boundary = (timestamps[index] // slide) * slide

@@ -65,8 +65,9 @@ class WireProtocolError(ReproError, RuntimeError):
     """Raised when a runtime wire-protocol frame is malformed or unknown.
 
     The coordinator and its shard workers exchange only the typed frames
-    defined in :mod:`repro.runtime.protocol`; anything else on the wire is
-    a programming error and is reported with this exception.
+    defined in :mod:`repro.runtime.protocol`; anything else on the wire,
+    including a ``BATCH`` payload whose columns or ids do not check out,
+    is refused with this exception.
     """
 
 

@@ -70,8 +70,8 @@ class StreamingGraphTuple:
 
         The wire form is a plain tuple of scalars so it can cross process
         boundaries (or be JSON-encoded) without pickling rich objects; it is
-        the batch payload of the runtime's worker protocol
-        (:mod:`repro.runtime.protocol`).
+        the tuple record of the runtime's write-ahead log and replication
+        stream (:mod:`repro.runtime.durability`).
         """
         return (self.timestamp, self.source, self.target, self.label, self.op.value)
 

@@ -27,7 +27,6 @@ __all__ = [
     "FSYNC_POLICIES",
     "LOG_LEVELS",
     "LOG_FORMATS",
-    "WIRE_FORMATS",
 ]
 
 #: Concurrency backends implemented by :mod:`repro.runtime.worker`.  All
@@ -93,13 +92,6 @@ LOG_LEVELS = ("debug", "info", "warning", "error")
 #: Log output formats: human-oriented text lines or one JSON object per
 #: record (both carry the operation-ID extras of multi-frame operations).
 LOG_FORMATS = ("text", "json")
-
-#: BATCH frame encodings spoken by :mod:`repro.runtime.protocol`.
-#: ``"columnar"`` packs each batch into parallel array buffers feeding the
-#: engine's vectorized batch path; ``"rows"`` sends one wire tuple per
-#: streaming tuple (the legacy form, still used verbatim by WAL replay).
-#: Workers sniff the payload, so either side may be older.
-WIRE_FORMATS = ("columnar", "rows")
 
 
 @dataclass(frozen=True)
@@ -190,12 +182,6 @@ class RuntimeConfig:
             Spawned worker processes configure their own logging from
             this value so coordinator and workers log consistently.
         log_format: log output format, one of :data:`LOG_FORMATS`.
-        wire_format: BATCH frame encoding, one of :data:`WIRE_FORMATS`.
-            ``"columnar"`` (the default) ships each batch as packed
-            parallel arrays that the workers' engines evaluate on the
-            vectorized batch path; ``"rows"`` ships per-tuple wire forms.
-            Both produce bit-identical results — this is a transport /
-            performance knob, not a semantic one.
         trace_sample_rate: probability in ``[0, 1]`` that an ingested
             tuple's batch (and each drain/checkpoint/promotion) starts a
             distributed trace (:mod:`repro.runtime.observability.tracing`).
@@ -233,7 +219,6 @@ class RuntimeConfig:
     metrics_port: Optional[int] = None
     log_level: str = "warning"
     log_format: str = "text"
-    wire_format: str = "columnar"
     trace_sample_rate: float = 0.0
 
     def __post_init__(self) -> None:
@@ -366,10 +351,6 @@ class RuntimeConfig:
         if self.log_format not in LOG_FORMATS:
             raise ConfigError(
                 f"unknown log format {self.log_format!r}; valid choices: {', '.join(LOG_FORMATS)}"
-            )
-        if self.wire_format not in WIRE_FORMATS:
-            raise ConfigError(
-                f"unknown wire format {self.wire_format!r}; valid choices: {', '.join(WIRE_FORMATS)}"
             )
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ConfigError(

@@ -21,19 +21,14 @@ Two shapes travel on the request queue:
     bounded request queue provides backpressure.  The optional trailing
     ``trace_ctx`` element (see **Trace-context extensions** below) is
     present only when the batch carries a sampled tuple; workers that do
-    not know it ignore the tail.  Two payload forms are accepted
-    (version tolerance — the worker sniffs the first element):
-
-    * **rows** — a tuple of
-      :meth:`~repro.graph.tuples.StreamingGraphTuple.to_wire` forms
-      ``(tau, u, v, l, op)``.  The legacy form; the durability
-      subsystem's write-ahead log replays records in it.
-    * **columnar** — the packed form produced by
-      :meth:`~repro.core.columnar.ColumnarBatch.to_wire`, recognisable
-      by its leading :data:`COLUMNAR_MARKER` string.  Five parallel
-      ``array`` buffers (``bytes``) plus per-batch string tables — still
-      plain scalars/bytes, but one object per *column* instead of one
-      per tuple, feeding the engine's vectorized batch path directly.
+    not know it ignore the tail.  ``payload`` is the packed form produced
+    by :meth:`~repro.core.columnar.ColumnarBatch.to_wire`: a leading
+    ``"COL1"`` marker, the tuple count, five parallel ``array`` buffers
+    (``bytes``) and per-batch vertex/label tables — plain scalars/bytes,
+    one object per *column* instead of one per tuple.  The worker decodes
+    it with :meth:`~repro.core.columnar.ColumnarBatch.from_wire`, which
+    refuses a malformed payload with
+    :class:`~repro.errors.WireProtocolError` before any tuple is applied.
 
 ``(CONTROL, seq, op, payload)``
     A control call with a monotonically increasing ``seq``; the worker
@@ -174,8 +169,9 @@ ordering under ``multiprocessing``):
 Encodings
 =========
 
-:func:`encode_batch` / :func:`decode_batch` are thin loops over the wire
-form defined on :class:`~repro.graph.tuples.StreamingGraphTuple`;
+:func:`encode_tuple` / :func:`decode_tuple` are the per-tuple wire form
+``(tau, u, v, l, op)`` of :class:`~repro.graph.tuples.StreamingGraphTuple`
+that the write-ahead log and the replication stream record;
 :func:`encode_events` / :func:`decode_events` carry the live
 ``(query, source, target, timestamp)`` records.  Result streams travel
 as packed columns (:meth:`~repro.core.results.ResultStream.to_wire`):
@@ -189,15 +185,13 @@ registry (falling back to ``RuntimeError`` for unknown types).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from .. import errors as _errors
-from ..core.columnar.batch import COLUMNAR_MARKER, ColumnarBatch
 from ..graph.tuples import StreamingGraphTuple
 
 __all__ = [
     "BATCH",
-    "COLUMNAR_MARKER",
     "CONTROL",
     "REGISTER",
     "RESTORE",
@@ -217,10 +211,6 @@ __all__ = [
     "CONTROL_OPS",
     "encode_tuple",
     "decode_tuple",
-    "encode_batch",
-    "decode_batch",
-    "encode_batch_columnar",
-    "is_columnar_payload",
     "encode_events",
     "decode_events",
     "encode_exception",
@@ -231,7 +221,7 @@ __all__ = [
 # Frame kinds (request queue)
 # --------------------------------------------------------------------- #
 
-#: Data frame: one batch of tuple wire forms.  No reply.
+#: Data frame: one packed columnar batch.  No reply.
 BATCH = "BATCH"
 #: Control frame ``(CONTROL, seq, op, payload)``; answered by seq.
 CONTROL = "CTRL"
@@ -282,9 +272,9 @@ FAILURE = "FAILURE"
 def encode_tuple(tup: StreamingGraphTuple) -> Tuple:
     """Encode one tuple into its compact wire form ``(tau, u, v, l, op)``.
 
-    The same wire form a ``BATCH`` frame carries; the durability
-    subsystem's write-ahead log reuses it record-for-record, so a logged
-    tuple replays through exactly the encoding the live path used.
+    The durability subsystem's write-ahead log and the replication
+    stream record tuples in this form; replay rebuilds
+    :class:`~repro.core.columnar.ColumnarBatch` batches from it.
     """
     return tup.to_wire()
 
@@ -292,38 +282,6 @@ def encode_tuple(tup: StreamingGraphTuple) -> Tuple:
 def decode_tuple(wire: Tuple) -> StreamingGraphTuple:
     """Decode one tuple wire form (inverse of :func:`encode_tuple`)."""
     return StreamingGraphTuple.from_wire(wire)
-
-
-def encode_batch(batch: Sequence[StreamingGraphTuple]) -> Tuple[Tuple, ...]:
-    """Encode a batch of tuples into their compact wire forms."""
-    return tuple(tup.to_wire() for tup in batch)
-
-
-def decode_batch(payload: Iterable[Tuple]) -> List[StreamingGraphTuple]:
-    """Decode a ``BATCH`` payload back into streaming graph tuples.
-
-    Accepts both payload forms: a columnar payload is materialized back
-    into tuples (the rows/columnar distinction is a transport choice, not
-    a semantic one).
-    """
-    if is_columnar_payload(payload):
-        return list(ColumnarBatch.from_wire(payload).tuples())
-    return [StreamingGraphTuple.from_wire(wire) for wire in payload]
-
-
-def encode_batch_columnar(batch: Sequence[StreamingGraphTuple]) -> Tuple:
-    """Encode a batch into the packed columnar wire form.
-
-    One ``bytes`` buffer per column plus per-batch string tables — the
-    worker feeds this to the engine's vectorized batch path without ever
-    instantiating per-tuple objects for irrelevant tuples.
-    """
-    return ColumnarBatch.from_tuples(batch).to_wire()
-
-
-def is_columnar_payload(payload) -> bool:
-    """Whether a ``BATCH`` payload is in the packed columnar form."""
-    return ColumnarBatch.is_wire(payload)
 
 
 def encode_events(events: Iterable[Tuple]) -> Tuple[Tuple, ...]:

@@ -42,7 +42,6 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from ..core.checkpoint import canonical_bytes, decode_state
-from ..core.columnar import fastpath_name
 from ..core.partition import partition_checkpoint
 from ..core.results import ResultStream
 from ..errors import ReplicationError, RuntimeStateError, WorkerUnavailableError
@@ -316,15 +315,6 @@ class StreamingQueryService:
         self._m_promotion_seconds = registry.histogram(
             "repro_promotion_seconds", "Wall time of hot-standby promotions", ("shard",)
         )
-        # The columnar kernel implementation is decided once at import
-        # (numpy when available, pure Python otherwise), so the gauge is
-        # set here and never refreshed.
-        self._m_fastpath = registry.gauge(
-            "repro_fastpath_active",
-            "Columnar kernel implementation in use (1 for the active impl label)",
-            ("impl",),
-        )
-        self._m_fastpath.labels(fastpath_name()).set(1.0)
 
     @property
     def observability_port(self) -> Optional[int]:

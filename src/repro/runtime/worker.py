@@ -52,7 +52,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 from ..core.checkpoint import canonical_bytes, decode_rapq, encode_rapq
 from ..core.columnar import promote_evaluator
 from ..core.columnar.batch import ColumnarBatch
-from ..core.columnar.kernels import fastpath_name
 from ..core.engine import StreamingRPQEngine
 from ..core.results import ResultStream
 from ..errors import RuntimeStateError, ShardWorkerError, WireProtocolError, WorkerUnavailableError
@@ -140,8 +139,13 @@ class ShardEngineServer:
 
     # Batches ----------------------------------------------------------- #
 
-    def process_batch(self, payload, collect_results: bool, ctx=None) -> Optional[Tuple]:
-        """Process one ``BATCH`` payload; optionally collect live results.
+    def process_batch(self, batch, collect_results: bool, ctx=None) -> Optional[Tuple]:
+        """Process one batch; optionally collect live results.
+
+        ``batch`` is a :class:`~repro.core.columnar.ColumnarBatch`, or its
+        packed wire form as a ``BATCH`` frame carries it; a malformed wire
+        form is refused with :class:`~repro.errors.WireProtocolError`
+        before anything is applied.
 
         Returns the ``EVENTS`` payload (``(query, source, target, tau)``
         records) when ``collect_results`` and the batch produced any, else
@@ -167,21 +171,11 @@ class ShardEngineServer:
         # make per-shard load (and the rebalancer's view of it) look worse
         # the more balanced the service is.
         started = time.thread_time()
-        if ColumnarBatch.is_wire(payload):
-            batch = ColumnarBatch.from_wire(payload)
-            count = len(batch)
-            produced = self.engine.process_batch(batch)
-            events = list(produced) if collect_results and produced else None
-        else:
-            count = len(payload)
-            events = [] if collect_results else None
-            for wire in payload:
-                tup = StreamingGraphTuple.from_wire(wire)
-                produced = self.engine.process(tup)
-                if events is not None and produced:
-                    for name, pairs in produced.items():
-                        for source, target in pairs:
-                            events.append((name, source, target, tup.timestamp))
+        if not isinstance(batch, ColumnarBatch):
+            batch = ColumnarBatch.from_wire(batch)
+        count = len(batch)
+        produced = self.engine.process_batch(batch)
+        events = produced if collect_results and produced else None
         elapsed = time.thread_time() - started
         self.meter.record_batch(count, elapsed)
         self.batch_seconds.observe(elapsed)
@@ -318,7 +312,6 @@ class ShardEngineServer:
             "busy_seconds": self.meter.elapsed_seconds,
             "batch_seconds": self.batch_seconds.state(),
             "event_latency": self.event_latency.state(),
-            "fastpath": fastpath_name(),
         }
         spans = self.tracer.drain()
         if spans:
@@ -368,12 +361,11 @@ class ShardEngineServer:
         LSN the apply loop reached, so live emission resumes with the
         first post-promotion batch.
 
-        Consecutive tuple records are batched into one engine pass —
-        through the same columnar fast path the primary's ``BATCH``
-        frames take (when ``wire_format`` is columnar), so a standby
-        keeps up with a primary that evaluates vectorized batches;
-        topology records are barriers (execution order), exactly as WAL
-        replay orders them.
+        Consecutive tuple records are batched into one
+        :class:`~repro.core.columnar.ColumnarBatch` and one engine pass —
+        the same call the primary's ``BATCH`` frames reach, so a standby
+        keeps up with its primary; topology records are barriers
+        (execution order), exactly as WAL replay orders them.
         """
         from .durability import wal as wal_mod
 
@@ -382,22 +374,16 @@ class ShardEngineServer:
         )
 
     def _apply_replica_records(self, records, wal_mod) -> None:
-        columnar = self.config.wire_format == "columnar"
         pending = []
 
         def flush() -> None:
-            if not pending:
-                return
-            if columnar:
-                rows = [StreamingGraphTuple.from_wire(wire) for wire in pending]
-                self.process_batch(ColumnarBatch.from_tuples(rows).to_wire(), False)
-            else:
-                self.process_batch(tuple(pending), False)
-            pending.clear()
+            if pending:
+                self.process_batch(ColumnarBatch.from_tuples(pending), False)
+                pending.clear()
 
         for record_type, data in records:
             if record_type == wal_mod.TUPLE:
-                pending.append(tuple(data))
+                pending.append(StreamingGraphTuple.from_wire(data))
                 continue
             flush()
             if record_type == wal_mod.REGISTER:
@@ -698,10 +684,7 @@ class ShardWorker:
         if not self.running:
             self._check_transport_death()
             raise RuntimeStateError(f"shard {self.shard_id} is not running; call start() first")
-        if self.config.wire_format == "columnar":
-            frame = (protocol.BATCH, protocol.encode_batch_columnar(batch))
-        else:
-            frame = (protocol.BATCH, protocol.encode_batch(batch))
+        frame = (protocol.BATCH, ColumnarBatch.from_tuples(batch).to_wire())
         if trace_ctx is not None:
             frame += (trace_ctx,)
         # Bounded put with liveness polling: a worker that dies while its
@@ -737,10 +720,10 @@ class ShardWorker:
         """Feed one batch to the local engine of a *stopped* worker.
 
         The durability subsystem's recovery path uses this to replay a
-        shard's WAL tail: records execute against the same
-        :class:`ShardEngineServer` (through the same batch encoding) the
-        live serve loop uses, so replayed work is metered in the shard's
-        counters exactly like live work.
+        shard's WAL tail: the batch reaches the same
+        :meth:`ShardEngineServer.process_batch` call the live serve loop
+        uses, as one :class:`~repro.core.columnar.ColumnarBatch`, so
+        replayed work is evaluated and metered exactly like live work.
 
         Raises:
             RuntimeStateError: the worker is running — live batches must
@@ -753,7 +736,7 @@ class ShardWorker:
                 f"stopped workers (recovery replay) — use submit() instead"
             )
         self._check_failure()
-        self._server.process_batch(protocol.encode_batch(batch), False)
+        self._server.process_batch(ColumnarBatch.from_tuples(batch), False)
 
     def drain(self, trace_ctx=None) -> None:
         """Block until every batch submitted so far has been processed.

@@ -3,8 +3,7 @@
 The central contract: the columnar evaluator is *bit-identical* to the
 scalar :class:`~repro.core.rapq.RAPQEvaluator` — same result events in the
 same order, same emission keys, same checkpoints — whether it is fed tuple
-at a time or in batches of any size, with numpy or with the pure-Python
-kernel fallback.
+at a time or in batches of any size.
 """
 
 from __future__ import annotations
@@ -25,16 +24,13 @@ from repro.core.columnar import (
     ColumnarRAPQEvaluator,
     Interner,
     fastpath_name,
-    have_numpy,
     promote_evaluator,
-    set_implementation,
 )
 from repro.core.engine import StreamingRPQEngine
 from repro.core.partition import RootPartition
 from repro.graph.snapshot import SnapshotGraph
 from repro.graph.tuples import EdgeOp, StreamingGraphTuple
-from repro.runtime import RuntimeConfig, StreamingQueryService
-from repro.runtime import protocol
+from repro.errors import WireProtocolError
 
 QUERY = "(follows mentions)+"
 WINDOW = WindowSpec(size=60, slide=15)
@@ -108,25 +104,13 @@ def test_columnar_batch_roundtrip():
 
     wire = batch.to_wire()
     assert wire[0] == COLUMNAR_MARKER
-    assert ColumnarBatch.is_wire(wire)
-    assert not ColumnarBatch.is_wire(tuple(t.to_wire() for t in stream))
-    assert not ColumnarBatch.is_wire(())
     assert ColumnarBatch.from_wire(wire).tuples() == stream
 
 
 def test_columnar_batch_from_wire_rejects_rows():
     rows = tuple(t.to_wire() for t in make_stream(5))
-    with pytest.raises(ValueError):
+    with pytest.raises(WireProtocolError):
         ColumnarBatch.from_wire(rows)
-
-
-def test_protocol_decode_batch_accepts_both_forms():
-    stream = make_stream(100, seed=5)
-    rows = protocol.encode_batch(stream)
-    columnar = protocol.encode_batch_columnar(stream)
-    assert protocol.is_columnar_payload(columnar)
-    assert not protocol.is_columnar_payload(rows)
-    assert protocol.decode_batch(rows) == protocol.decode_batch(columnar) == stream
 
 
 def test_interner_is_first_seen_dense():
@@ -260,20 +244,11 @@ def test_to_scalar_is_exact():
 
 
 # --------------------------------------------------------------------- #
-# Kernel implementations (numpy / pure fallback)
+# Kernels and dependencies
 # --------------------------------------------------------------------- #
 
 
-@pytest.fixture
-def pure_kernels():
-    set_implementation("pure")
-    try:
-        yield
-    finally:
-        set_implementation(None)
-
-
-def test_pure_kernel_parity(pure_kernels):
+def test_pure_kernel_parity():
     assert fastpath_name() == "pure"
     stream = make_stream(2500, seed=47)
     scalar = RAPQEvaluator(QUERY, WINDOW)
@@ -283,25 +258,17 @@ def test_pure_kernel_parity(pure_kernels):
     assert_bit_identical(scalar, columnar)
 
 
-def test_set_implementation_validates():
-    with pytest.raises(ValueError):
-        set_implementation("simd")
-    if not have_numpy():  # pragma: no cover - numpy present in CI fast legs
-        with pytest.raises(ValueError):
-            set_implementation("numpy")
-
-
-def test_force_pure_environment_override():
+def test_import_does_not_load_numpy():
     code = (
-        "from repro.core.columnar import fastpath_name; print(fastpath_name())"
+        "import sys, repro, repro.runtime, repro.core.columnar; "
+        "print('numpy' in sys.modules)"
     )
-    env = dict(os.environ, REPRO_FORCE_PURE="1")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "pure"
+    assert out.stdout.strip() == "False"
 
 
 # --------------------------------------------------------------------- #
@@ -352,57 +319,3 @@ def test_engine_default_arbitrary_evaluator_is_columnar():
     engine = StreamingRPQEngine(WINDOW)
     engine.register("q", QUERY)
     assert isinstance(engine.query("q").evaluator, ColumnarRAPQEvaluator)
-
-
-# --------------------------------------------------------------------- #
-# Runtime integration: wire formats and both backends
-# --------------------------------------------------------------------- #
-
-
-def run_service(stream, wire_format: str, backend: str, shards: int = 2):
-    config = RuntimeConfig(
-        shards=shards, batch_size=97, backend=backend, wire_format=wire_format
-    )
-    service = StreamingQueryService(WINDOW, config)
-    service.register("pairs", QUERY)
-    service.register("hops", "likes+")
-    with service:
-        service.ingest(stream)
-        service.drain()
-        return {name: service.results(name).to_wire() for name in ("pairs", "hops")}
-
-
-def test_service_wire_format_parity_threading():
-    stream = make_stream(10_000, seed=61)
-    columnar = run_service(stream, "columnar", "threading")
-    rows = run_service(stream, "rows", "threading")
-    assert columnar == rows
-    assert any(len(events) > 0 for events in columnar.values())
-
-
-def test_service_wire_format_parity_multiprocessing():
-    stream = make_stream(4000, seed=67)
-    columnar = run_service(stream, "columnar", "multiprocessing")
-    rows = run_service(stream, "rows", "multiprocessing")
-    assert columnar == rows
-
-
-def test_config_validates_wire_format():
-    from repro.errors import ConfigError
-
-    with pytest.raises(ConfigError):
-        RuntimeConfig(wire_format="parquet")
-
-
-def test_service_exports_fastpath_gauge():
-    service = StreamingQueryService(WINDOW, RuntimeConfig(shards=1))
-    text = service.metrics_text()
-    assert "repro_fastpath_active" in text
-    assert f'impl="{fastpath_name()}"' in text
-
-
-def test_worker_metrics_report_fastpath():
-    from repro.runtime.worker import ShardEngineServer
-
-    server = ShardEngineServer(0, WINDOW, RuntimeConfig(shards=1))
-    assert server.metrics()["fastpath"] == fastpath_name()

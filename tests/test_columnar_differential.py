@@ -4,49 +4,26 @@ Randomized streams — deletions, repeated edges, window slides, arbitrary
 batch splits, root partitioning — drive the scalar evaluator tuple at a
 time and the columnar evaluator through its batch entry point.  The two
 must be *bit-identical*: same result events in the same order, same
-emission keys, same checkpoint.  Both kernel implementations (numpy and
-the pure-Python fallback) are exercised.
+emission keys, same checkpoint.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
-
-#: The kernel-implementation fixture only flips a module-level switch that
-#: is constant across generated inputs, so not resetting it per input is
-#: exactly the intended behavior.
-_SETTINGS = {"deadline": None, "suppress_health_check": [HealthCheck.function_scoped_fixture]}
+from hypothesis import given, settings, strategies as st
 
 from repro import RAPQEvaluator, WindowSpec
 from repro.core.checkpoint import checkpoint_rapq
-from repro.core.columnar import (
-    ColumnarBatch,
-    ColumnarRAPQEvaluator,
-    have_numpy,
-    set_implementation,
-)
+from repro.core.columnar import ColumnarBatch, ColumnarRAPQEvaluator
 from repro.core.partition import RootPartition
 from repro.graph.tuples import EdgeOp, StreamingGraphTuple
 
 VERTICES = ["v0", "v1", "v2", "v3", "v4", "v5"]
-#: Half the labels are outside every query alphabet, so the vectorized
-#: relevance pre-pass always has runs to skip.
+#: Half the labels are outside every query alphabet, so the relevance
+#: pre-pass always has runs to skip.
 LABELS = ["a", "b", "nx", "ny"]
 QUERIES = ["a", "a b", "a+", "(a b)+", "a b*", "a* b*", "(a | b)+", "a | b a"]
-
-IMPLEMENTATIONS = ["pure"] + (["numpy"] if have_numpy() else [])
-
-
-@pytest.fixture(params=IMPLEMENTATIONS)
-def kernel_impl(request):
-    set_implementation(request.param)
-    try:
-        yield request.param
-    finally:
-        set_implementation(None)
 
 
 @st.composite
@@ -101,18 +78,18 @@ def assert_differential(stream, window, query, split, partition=None) -> None:
     assert comparable_checkpoint(scalar) == comparable_checkpoint(columnar)
 
 
-@settings(max_examples=40, **_SETTINGS)
+@settings(max_examples=40, deadline=None)
 @given(
     stream=streams_with_deletions(),
     window=windows(),
     query=st.sampled_from(QUERIES),
     split=batch_splits(),
 )
-def test_columnar_matches_scalar(kernel_impl, stream, window, query, split):
+def test_columnar_matches_scalar(stream, window, query, split):
     assert_differential(stream, window, query, split)
 
 
-@settings(max_examples=25, **_SETTINGS)
+@settings(max_examples=25, deadline=None)
 @given(
     stream=streams_with_deletions(max_edges=30),
     window=windows(),
@@ -120,5 +97,5 @@ def test_columnar_matches_scalar(kernel_impl, stream, window, query, split):
     split=batch_splits(),
     index=st.integers(min_value=0, max_value=2),
 )
-def test_columnar_matches_scalar_under_partitioning(kernel_impl, stream, window, query, split, index):
+def test_columnar_matches_scalar_under_partitioning(stream, window, query, split, index):
     assert_differential(stream, window, query, split, partition=RootPartition(index=index, count=3))

@@ -1,22 +1,29 @@
 """Tests for the runtime wire protocol and its encodings.
 
 Everything that crosses a worker boundary must round-trip through the
-compact wire forms: streaming graph tuples, result events/streams,
-evaluator state blobs and exceptions.  Plus the construction-time
-validation of :class:`~repro.runtime.RuntimeConfig`.
+compact wire forms: streaming graph tuples, packed columnar batches,
+result events/streams, evaluator state blobs and exceptions.  A
+malformed ``BATCH`` payload is refused before it touches the engine.
+Plus the construction-time validation of
+:class:`~repro.runtime.RuntimeConfig`.
 """
 
 from __future__ import annotations
+
+import queue
+from array import array
 
 import pytest
 
 from repro import ConfigError, WindowSpec, WireProtocolError, sgt
 from repro.core.checkpoint import checkpoint_rapq, decode_rapq, encode_rapq
+from repro.core.columnar import ColumnarBatch
 from repro.core.rapq import RAPQEvaluator
 from repro.core.results import ResultStream
 from repro.errors import ConflictBudgetExceeded, ShardWorkerError, StreamOrderError
 from repro.graph.tuples import EdgeOp, StreamingGraphTuple
 from repro.runtime import RuntimeConfig, ShardEngineServer, create_worker
+from repro.runtime.worker import serve_shard
 from repro.runtime import protocol
 from repro.runtime.transport_tcp import decode_value, encode_value
 
@@ -35,7 +42,7 @@ class TestTupleWireForm:
 
     def test_batch_codec(self):
         batch = [sgt(1, "a", "b", "x"), sgt(2, "b", "c", "y", EdgeOp.DELETE)]
-        assert protocol.decode_batch(protocol.encode_batch(batch)) == batch
+        assert ColumnarBatch.from_wire(ColumnarBatch.from_tuples(batch).to_wire()).tuples() == batch
 
 
 class TestResultWireForm:
@@ -107,7 +114,7 @@ class TestShardEngineServer:
         server = self.make_server()
         server.execute(protocol.REGISTER, ("q", "a+", "arbitrary", None, None))
         events = server.process_batch(
-            protocol.encode_batch([sgt(1, "u", "v", "a"), sgt(2, "v", "w", "a")]),
+            ColumnarBatch.from_tuples([sgt(1, "u", "v", "a"), sgt(2, "v", "w", "a")]).to_wire(),
             collect_results=True,
         )
         assert ("q", "u", "v", 1) in events and ("q", "u", "w", 2) in events
@@ -118,7 +125,7 @@ class TestShardEngineServer:
     def test_checkpoint_and_restore_ops(self):
         server = self.make_server()
         server.execute(protocol.REGISTER, ("q", "a+", "arbitrary", None, None))
-        server.process_batch(protocol.encode_batch([sgt(1, "u", "v", "a")]), collect_results=False)
+        server.process_batch(ColumnarBatch.from_tuples([sgt(1, "u", "v", "a")]).to_wire(), False)
         blob = server.execute(protocol.CHECKPOINT, "q")
         other = self.make_server()
         other.execute(protocol.RESTORE, ("q", "arbitrary", blob))
@@ -137,6 +144,87 @@ class TestShardEngineServer:
             clone.execute(op, payload)
         assert {q.name for q in clone.engine.queries()} == {"arb", "simple"}
         assert clone.engine.query("simple").evaluator.max_nodes_per_tree == 50
+
+
+def _batch_wire(count: int = 10):
+    """The packed wire form of a ``count``-tuple chain ``u0 -a-> u1 -a-> ...``."""
+    return ColumnarBatch.from_tuples(
+        [sgt(100 + index, f"u{index}", f"u{index + 1}", "a") for index in range(count)]
+    ).to_wire()
+
+
+def _with(payload, position: int, value):
+    return payload[:position] + (value,) + payload[position + 1 :]
+
+
+def _ids(*values) -> bytes:
+    return array("i", values).tobytes()
+
+
+#: Malformed ``BATCH`` payloads, built from a valid 10-tuple payload.
+_MALFORMED = {
+    # column lengths that disagree with the count (5 of 10 entries)
+    "short-timestamps": lambda wire: _with(wire, 2, wire[2][: 5 * 8]),
+    "short-sources": lambda wire: _with(wire, 3, wire[3][: 5 * 4]),
+    "short-targets": lambda wire: _with(wire, 4, wire[4][: 5 * 4]),
+    "short-labels": lambda wire: _with(wire, 5, wire[5][: 5 * 4]),
+    "long-deletes": lambda wire: _with(wire, 6, wire[6] + b"\x00"),
+    "count-mismatch": lambda wire: _with(wire, 1, 11),
+    # ids outside the per-batch tables (after a valid prefix)
+    "source-past-table": lambda wire: _with(wire, 3, wire[3][:-4] + _ids(len(wire[7]))),
+    "target-negative": lambda wire: _with(wire, 4, wire[4][:-4] + _ids(-1)),
+    "label-past-table": lambda wire: _with(wire, 5, wire[5][:-4] + _ids(1)),
+    # wrong marker, including a leftover per-tuple rows payload
+    "wrong-marker": lambda wire: _with(wire, 0, "COL2"),
+    "rows-payload": lambda wire: tuple(tup.to_wire() for tup in ColumnarBatch.from_wire(wire).tuples()),
+    "short-rows-payload": lambda wire: ((1, "u", "v", "a", "+"),),
+}
+
+
+class TestMalformedBatch:
+    """A malformed ``BATCH`` is refused before any of its tuples is applied."""
+
+    def make_server(self):
+        server = ShardEngineServer(0, WindowSpec(size=1000, slide=1), RuntimeConfig(shards=1))
+        server.execute(protocol.REGISTER, ("q", "a+", "arbitrary", None, None))
+        server.process_batch(ColumnarBatch.from_tuples([sgt(1, "x", "u0", "a")]), False)
+        return server
+
+    @staticmethod
+    def state(server):
+        return (
+            server.metrics()["tuples"],
+            server.batches_processed,
+            server.engine.summary()["q"]["stats"],
+            server.execute(protocol.RESULTS, "q"),
+            server.execute(protocol.CHECKPOINT, "q"),
+        )
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_refused_and_engine_unchanged(self, case):
+        server = self.make_server()
+        before = self.state(server)
+        with pytest.raises(WireProtocolError):
+            server.process_batch(_MALFORMED[case](_batch_wire()), collect_results=True)
+        assert self.state(server) == before
+
+    def test_valid_payload_applies(self):
+        # The same payload unmodified is applied: the refusals above are
+        # the validation, not a broken fixture.
+        server = self.make_server()
+        before = self.state(server)
+        events = server.process_batch(_batch_wire(), collect_results=True)
+        assert len(events) == 65 and self.state(server) != before
+
+    def test_serve_loop_reports_refusal_as_failure(self):
+        server = self.make_server()
+        requests, responses = queue.Queue(), queue.Queue()
+        requests.put((protocol.BATCH, _MALFORMED["short-sources"](_batch_wire())))
+        requests.put((protocol.CONTROL, 1, protocol.STOP, False))
+        serve_shard(server, requests, responses, emit_results=True, ship_state_on_stop=False)
+        kind, (type_name, _message) = responses.get_nowait()
+        assert (kind, type_name) == (protocol.FAILURE, "WireProtocolError")
+        assert server.metrics()["tuples"] == 1.0
 
 
 class TestRuntimeConfigValidation:
