@@ -26,8 +26,14 @@ order, the ``vertex -> tree roots`` reverse index, and the snapshot's
 backward adjacency.  A restored evaluator therefore emits future results in
 exactly the same order as the original would have, which is what lets the
 runtime migrate a live query between shards without perturbing the global
-result stream.  Format-1 checkpoints (pre-ordering) still load, with
-orders derived instead of reproduced.
+result stream.  Format-1 checkpoints (pre-ordering) are refused.
+
+This module is the only code that knows the layout.  It reads and writes
+the columnar evaluator in place: ids are resolved through the evaluator's
+interner tables on the way out, and values are interned as rows are read
+on the way in.  Every checkpoint restores into a
+:class:`~repro.core.columnar.evaluator.ColumnarRAPQEvaluator`, whichever
+evaluator wrote it.
 
 Format 2 additionally carries the *partitioning* sections (see
 :mod:`repro.core.partition` and ``docs/CHECKPOINT_FORMAT.md``): an
@@ -52,6 +58,7 @@ from typing import Dict, Optional, Union
 from ..errors import CheckpointError
 from ..graph.window import WindowSpec
 from ..regex.analysis import QueryAnalysis
+from .columnar.evaluator import ColumnarRAPQEvaluator
 from .rapq import RAPQEvaluator
 from .results import ResultStream
 
@@ -69,9 +76,9 @@ __all__ = [
 
 #: Format marker so that future layout changes can stay backward compatible.
 #: Version 2 added the iteration orders (reverse index, backward adjacency)
-#: that make restore order-exact; version-1 checkpoints still load.
+#: that make restore order-exact; version 1 is no longer read.
 _FORMAT_VERSION = 2
-_SUPPORTED_FORMATS = (1, 2)
+_SUPPORTED_FORMATS = (2,)
 
 # JSON has no infinity literal that round-trips portably, so sentinel strings
 # encode the root timestamp (+inf) and deletion markers (-inf).
@@ -102,42 +109,58 @@ def _check_vertex(vertex) -> None:
         )
 
 
+class _Values:
+    """Stands in for an interner table where keys already are the values."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        return key
+
+
+_VALUES = _Values()
+
+
+def _value_tables(evaluator: RAPQEvaluator):
+    """The ``id -> value`` tables for the evaluator's vertex and label keys."""
+    if isinstance(evaluator, ColumnarRAPQEvaluator):
+        return evaluator._vertices.table, evaluator._labels.table
+    return _VALUES, _VALUES
+
+
 def checkpoint_rapq(evaluator: RAPQEvaluator) -> Dict:
     """Capture the complete state of an RAPQ evaluator as a JSON-compatible dict.
 
-    Evaluators that maintain a non-scalar internal representation (the
-    columnar evaluator's interned state) expose ``checkpoint_state()``,
-    which resolves into this same format-2 dict; dispatching on it here
-    keeps every producer of checkpoints (durability, migration, the CLI)
-    format-agnostic.
+    The evaluator is read in place.  The columnar evaluator keys its
+    snapshot, trees, reverse index and backward adjacency by interned ids;
+    each id is resolved through the evaluator's interner tables as it is
+    written.  The scalar oracle's keys already are the values.
     """
-    state_fn = getattr(evaluator, "checkpoint_state", None)
-    if state_fn is not None:
-        return state_fn()
+    vertex_of, label_of = _value_tables(evaluator)
     edges = []
     for edge in evaluator.snapshot.edges():
-        _check_vertex(edge.source)
-        _check_vertex(edge.target)
-        edges.append([edge.source, edge.target, edge.label, edge.timestamp])
+        source = vertex_of[edge.source]
+        target = vertex_of[edge.target]
+        _check_vertex(source)
+        _check_vertex(target)
+        edges.append([source, target, label_of[edge.label], edge.timestamp])
 
     trees = []
     for tree in evaluator.index.trees():
-        nodes = []
-        for node in tree.nodes():
-            if node.parent is None:
-                continue  # the root is implied by the tree entry
-            nodes.append(
-                {
-                    "vertex": node.vertex,
-                    "state": node.state,
-                    "parent_vertex": node.parent[0],
-                    "parent_state": node.parent[1],
-                    "timestamp": _encode_timestamp(node.timestamp),
-                }
-            )
+        nodes = [
+            {
+                "vertex": vertex_of[node.vertex],
+                "state": node.state,
+                "parent_vertex": vertex_of[node.parent[0]],
+                "parent_state": node.parent[1],
+                "timestamp": _encode_timestamp(node.timestamp),
+            }
+            for node in tree.nodes()
+            if node.parent is not None  # the root is implied by the tree entry
+        ]
         trees.append(
             {
-                "root": tree.root_vertex,
+                "root": vertex_of[tree.root_vertex],
                 "root_cycle_reported": bool(getattr(tree, "root_cycle_reported", False)),
                 "nodes": nodes,
             }
@@ -156,9 +179,12 @@ def checkpoint_rapq(evaluator: RAPQEvaluator) -> Dict:
     # tuple visits, and which incoming edge reconnects an expired node first.
     # Recording them makes restore order-exact, so a migrated query keeps
     # emitting results in exactly the order the unmigrated one would have.
-    reverse_index = [[vertex, list(roots)] for vertex, roots in evaluator.index.reverse_index().items()]
+    reverse_index = [
+        [vertex_of[vertex], [vertex_of[root] for root in roots]]
+        for vertex, roots in evaluator.index.reverse_index().items()
+    ]
     in_adjacency = [
-        [target, [[source, label] for source, label in keys]]
+        [vertex_of[target], [[vertex_of[source], label_of[label]] for source, label in keys]]
         for target, keys in evaluator.snapshot.in_order()
     ]
 
@@ -190,8 +216,15 @@ def checkpoint_rapq(evaluator: RAPQEvaluator) -> Dict:
 def restore_rapq(
     state: Dict,
     query: Optional[Union[str, QueryAnalysis]] = None,
-) -> RAPQEvaluator:
-    """Rebuild an RAPQ evaluator from a checkpoint produced by :func:`checkpoint_rapq`.
+) -> ColumnarRAPQEvaluator:
+    """Rebuild an evaluator from a checkpoint produced by :func:`checkpoint_rapq`.
+
+    The result is the columnar evaluator that
+    :func:`~repro.core.engine.make_evaluator` builds for ``"arbitrary"``
+    semantics, whichever evaluator wrote the checkpoint.  Vertex and label
+    values are interned as the rows are read, and every recorded order is
+    adopted verbatim, so the restored evaluator continues the stream
+    exactly where the checkpointed one stopped.
 
     Args:
         state: the checkpoint dictionary.
@@ -200,8 +233,9 @@ def restore_rapq(
             that was checkpointed.
 
     Raises:
-        ValueError: if the checkpoint format is unknown or the supplied query
-            does not match the checkpointed one.
+        CheckpointError: the format is unknown, a section is missing or
+            malformed, an order section contradicts the state it orders,
+            or the supplied query does not match the checkpointed one.
     """
     if not isinstance(state, dict):
         raise CheckpointError(
@@ -212,26 +246,27 @@ def restore_rapq(
             f"unsupported checkpoint format: {state.get('format')!r} "
             f"(this build reads formats {_SUPPORTED_FORMATS})"
         )
-    order_exact = state["format"] >= 2
     try:
-        return _restore_rapq_checked(state, query, order_exact)
-    except (KeyError, TypeError, IndexError) as exc:
-        # A missing section or a malformed row inside one: report *which*
-        # query and what was being decoded instead of the raw traceback.
+        return _restore_sections(state, query)
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        # A missing section, a malformed row or a contradictory order: report
+        # *which* query and what was being decoded instead of the raw traceback.
         raise CheckpointError(
             f"corrupt checkpoint for query {state.get('query')!r}: "
             f"{type(exc).__name__} while restoring sections ({exc})"
         ) from exc
 
 
-def _restore_rapq_checked(state: Dict, query, order_exact: bool) -> RAPQEvaluator:
+def _restore_sections(state: Dict, query) -> ColumnarRAPQEvaluator:
     """The body of :func:`restore_rapq` (section decoding, wrapped above)."""
     expression = state["query"]
     if query is None:
         query = expression
     elif isinstance(query, QueryAnalysis):
         if str(query.expression) != expression:
-            raise ValueError(
+            raise CheckpointError(
                 f"checkpoint was taken for query {expression!r}, got analysis for {query.expression}"
             )
     elif str(query) != expression:
@@ -243,74 +278,57 @@ def _restore_rapq_checked(state: Dict, query, order_exact: bool) -> RAPQEvaluato
     partition = state.get("partition")
     if partition is not None:
         partition = (partition["index"], partition["count"])
-    evaluator = RAPQEvaluator(
+    evaluator = ColumnarRAPQEvaluator(
         query,
         window,
         result_semantics=state.get("result_semantics", "implicit"),
         partition=partition,
     )
+    vertex_id = evaluator._vertices.intern
+    label_id = evaluator._intern_label
 
+    snapshot = evaluator.snapshot
     for source, target, label, timestamp in state["snapshot"]:
-        evaluator.snapshot.insert(source, target, label, timestamp)
+        snapshot.insert(vertex_id(source), vertex_id(target), label_id(label), timestamp)
+    # The rows come in adjacency order, not stream order: re-sort the FIFO
+    # expiry queue, or its head would hide older edges from expiry.
+    snapshot.rebuild_expiry_queue()
 
+    index = evaluator.index
     for tree_state in state["trees"]:
-        tree = evaluator.index.get_or_create(tree_state["root"])
+        tree = index.get_or_create(vertex_id(tree_state["root"]))
         if tree_state.get("root_cycle_reported"):
             tree.root_cycle_reported = True
-        if order_exact:
-            # Nodes were recorded in the source tree's insertion order;
-            # adopt them verbatim so node iteration (and with it expiry
-            # scans and result emission order) reproduces exactly.
-            tree.restore_nodes(
-                [
-                    (
-                        (node["vertex"], node["state"]),
-                        (node["parent_vertex"], node["parent_state"]),
-                        _decode_timestamp(node["timestamp"]),
-                    )
-                    for node in tree_state["nodes"]
-                ]
-            )
-            continue
-        # Format 1: parents must exist before children; insert in passes
-        # until stable (node order is not reproduced exactly).
-        pending = list(tree_state["nodes"])
-        while pending:
-            progressed = False
-            remaining = []
-            for node in pending:
-                parent_key = (node["parent_vertex"], node["parent_state"])
-                if parent_key in tree:
-                    tree.add_node(
-                        (node["vertex"], node["state"]),
-                        parent=parent_key,
-                        timestamp=_decode_timestamp(node["timestamp"]),
-                    )
-                    evaluator.index.register_node(tree, node["vertex"])
-                    progressed = True
-                else:
-                    remaining.append(node)
-            if not progressed:
-                raise ValueError(
-                    f"corrupt checkpoint: {len(remaining)} tree nodes have no reachable parent "
-                    f"in the tree rooted at {tree_state['root']!r}"
+        # Nodes were recorded in the source tree's insertion order; adopt
+        # them verbatim so node iteration (and with it expiry scans and
+        # result emission order) reproduces exactly.
+        tree.restore_nodes(
+            [
+                (
+                    (vertex_id(node["vertex"]), node["state"]),
+                    (vertex_id(node["parent_vertex"]), node["parent_state"]),
+                    _decode_timestamp(node["timestamp"]),
                 )
-            pending = remaining
-
-    if order_exact:
-        # Adopt the recorded iteration orders verbatim: the tree reverse
-        # index (which trees a tuple visits, in order) and the snapshot's
-        # backward adjacency (which parent reconnects an expired node).
-        reverse_index = {}
-        for vertex, roots in state["reverse_index"]:
-            for root in roots:
-                if evaluator.index.get(root) is None:
-                    raise ValueError(f"corrupt checkpoint: reverse index names unknown tree root {root!r}")
-            reverse_index[vertex] = list(roots)
-        evaluator.index.restore_reverse_index(reverse_index)
-        evaluator.snapshot.restore_in_order(
-            [(target, [(source, label) for source, label in keys]) for target, keys in state["in_adjacency"]]
+                for node in tree_state["nodes"]
+            ]
         )
+        # restore_nodes bypasses add_node, which keeps the bound that lets
+        # expiry skip a tree; without this it would stay +inf.
+        tree.recompute_min()
+
+    # Adopt the recorded iteration orders verbatim: the tree reverse index
+    # (which trees a tuple visits) and the snapshot's backward adjacency
+    # (which parent reconnects an expired node).  Both refuse an order that
+    # disagrees with the trees and edges restored above.
+    index.restore_reverse_index(
+        [(vertex_id(vertex), [vertex_id(root) for root in roots]) for vertex, roots in state["reverse_index"]]
+    )
+    snapshot.restore_in_order(
+        [
+            (vertex_id(target), [(vertex_id(source), label_id(label)) for source, label in keys])
+            for target, keys in state["in_adjacency"]
+        ]
+    )
 
     rows = state["results"]
     evaluator.results = ResultStream.from_columns(
@@ -324,7 +342,9 @@ def _restore_rapq_checked(state: Dict, query, order_exact: bool) -> RAPQEvaluato
     if emission is not None:
         keys = array("q", emission["keys"])
         if len(keys) != len(rows):
-            raise ValueError(f"corrupt checkpoint: {len(keys)} emission keys for {len(rows)} result events")
+            raise CheckpointError(
+                f"corrupt checkpoint: {len(keys)} emission keys for {len(rows)} result events"
+            )
         evaluator._emission_keys = keys
         evaluator._emission_seq = int(emission["seq"])
     else:
@@ -374,7 +394,9 @@ def decode_state(blob: bytes, what: str = "checkpoint") -> Dict:
         ) from exc
 
 
-def decode_rapq(blob: bytes, query: Optional[Union[str, QueryAnalysis]] = None) -> RAPQEvaluator:
+def decode_rapq(
+    blob: bytes, query: Optional[Union[str, QueryAnalysis]] = None
+) -> ColumnarRAPQEvaluator:
     """Rebuild an evaluator from an :func:`encode_rapq` byte string.
 
     Raises:
@@ -414,7 +436,7 @@ def save_checkpoint(evaluator: RAPQEvaluator, path: Union[str, Path]) -> Path:
 
 def load_checkpoint(
     path: Union[str, Path], query: Optional[Union[str, QueryAnalysis]] = None
-) -> RAPQEvaluator:
+) -> ColumnarRAPQEvaluator:
     """Load a checkpoint written by :func:`save_checkpoint`.
 
     Raises:

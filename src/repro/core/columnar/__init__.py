@@ -15,7 +15,9 @@ over dense integer ids instead of Python strings:
 * :mod:`~repro.core.columnar.evaluator` —
   :class:`ColumnarRAPQEvaluator`, a drop-in
   :class:`~repro.core.rapq.RAPQEvaluator` whose internal state is fully
-  interned and whose batch entry point runs the column pre-passes.
+  interned and whose batch entry point runs the column pre-passes.  It is
+  what every checkpoint restores into: :mod:`repro.core.checkpoint`
+  reads and writes its interned state directly.
 
 The package has no third-party dependencies: the speed comes from the
 struct-of-arrays layout and the interned state, not from an array
@@ -35,22 +37,5 @@ __all__ = [
     "ColumnarRAPQEvaluator",
     "Interner",
     "fastpath_name",
-    "promote_evaluator",
 ]
 
-
-def promote_evaluator(evaluator):
-    """Upgrade a plain scalar RAPQ evaluator to the columnar fast path.
-
-    Used by the runtime's restore paths (checkpoint restore, live
-    migration, process-transport bootstrap), whose decoders produce plain
-    :class:`~repro.core.rapq.RAPQEvaluator` objects: promotion re-interns
-    the whole evaluator state so the hot path stays columnar after a
-    restore.  Evaluators of any other type (already columnar, RSPQ,
-    baseline) pass through untouched.
-    """
-    from ..rapq import RAPQEvaluator
-
-    if type(evaluator) is RAPQEvaluator:
-        return ColumnarRAPQEvaluator.from_scalar(evaluator)
-    return evaluator

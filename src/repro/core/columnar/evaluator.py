@@ -6,8 +6,10 @@ dense integer ids instead of vertex/label values:
 
 * vertices and labels are interned at the evaluator boundary
   (:class:`~repro.core.columnar.interning.Interner`); everything the
-  outside world observes — result events, returned pairs, checkpoints,
-  partition admission — is resolved back to original values there;
+  outside world observes — result events, returned pairs, partition
+  admission — is resolved back to original values there, and
+  :mod:`repro.core.checkpoint` resolves the interned state through the
+  same tables as it writes a checkpoint (and interns as it restores one);
 * the DFA is compiled incrementally into a dense ``label_id × state``
   transition table (:class:`_TableDFA`), replacing the per-tuple
   ``transitions_on`` list walk with one indexed load;
@@ -33,7 +35,6 @@ from __future__ import annotations
 
 import math
 import time
-from array import array
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
@@ -64,8 +65,8 @@ class _TableDFA:
     sorted transition pairs of :meth:`~repro.regex.dfa.DFA.transitions_on`
     (order is part of the emission-order contract), the dense
     :meth:`~repro.regex.dfa.DFA.dense_row`, and a precomputed
-    "can start a tree" flag.  ``start``/``finals`` mirror the base DFA so
-    code written against the scalar automaton interface keeps working.
+    "can start a tree" flag.  ``start``/``finals``/``num_states`` mirror
+    the base DFA.
     """
 
     __slots__ = ("base", "start", "finals", "num_states", "trans_pairs", "delta_rows", "starts")
@@ -88,15 +89,6 @@ class _TableDFA:
         self.trans_pairs.append(pairs)
         self.delta_rows.append(list(self.base.dense_row(label)))
         self.starts.append(any(source == self.start for source, _ in pairs))
-
-    def transitions_on(self, label_id: int) -> Tuple[Tuple[int, int], ...]:
-        """Transition pairs of an interned label (scalar-interface shim)."""
-        return self.trans_pairs[label_id]
-
-    def delta(self, state: int, label_id: int) -> Optional[int]:
-        """``delta(state, l)`` over interned labels (scalar-interface shim)."""
-        target = self.delta_rows[label_id][state]
-        return None if target < 0 else target
 
 
 class ColumnarSnapshot(SnapshotGraph):
@@ -138,7 +130,7 @@ class ColumnarSnapshot(SnapshotGraph):
         return expired
 
     def rebuild_expiry_queue(self) -> None:
-        """Re-seed the queue from the live adjacency (restore/promotion path)."""
+        """Re-seed the queue from the live adjacency (checkpoint restore path)."""
         self._expiry_queue = deque(
             sorted(
                 (timestamp, source, target, label)
@@ -217,32 +209,21 @@ class ColumnarRAPQEvaluator(RAPQEvaluator):
     pre-passes and a deterministic ordered drain.
 
     Unlike the scalar evaluator it always owns its snapshot (a shared
-    snapshot would have to be interned consistently across evaluators);
-    multi-query shared-snapshot setups keep using the scalar class.
+    snapshot would have to be interned consistently across evaluators) and
+    always visits trees through the reverse index; multi-query
+    shared-snapshot setups and the reverse-index ablation keep using the
+    scalar class.  :mod:`repro.core.checkpoint` reads and writes its
+    interned state in place.
     """
 
     def __init__(
         self,
         query,
         window: WindowSpec,
-        use_reverse_index: bool = True,
         result_semantics: str = "implicit",
-        snapshot: Optional[SnapshotGraph] = None,
-        manage_snapshot: bool = True,
         partition: Optional[RootPartition] = None,
     ) -> None:
-        if snapshot is not None or not manage_snapshot:
-            raise ValueError(
-                "ColumnarRAPQEvaluator owns its snapshot (interned keys); "
-                "shared-snapshot setups use the scalar RAPQEvaluator"
-            )
-        super().__init__(
-            query,
-            window,
-            use_reverse_index=use_reverse_index,
-            result_semantics=result_semantics,
-            partition=partition,
-        )
+        super().__init__(query, window, result_semantics=result_semantics, partition=partition)
         self._vertices = Interner()
         self._labels = Interner()
         self._base_dfa = self.dfa
@@ -422,11 +403,7 @@ class ColumnarRAPQEvaluator(RAPQEvaluator):
         ):
             self.index.get_or_create(source)
 
-        if self.use_reverse_index:
-            candidate_trees = self.index.trees_containing(source)
-        else:
-            candidate_trees = list(self.index.trees())
-        for tree in candidate_trees:
+        for tree in self.index.trees_containing(source):
             nodes = tree._nodes
             for source_state, target_state in transitions:
                 parent = nodes.get((source, source_state))
@@ -623,141 +600,6 @@ class ColumnarRAPQEvaluator(RAPQEvaluator):
                 tree.recompute_min()
                 if len(tree) <= 1:
                     self.index.discard_tree(tree.root_vertex)
-
-    # ------------------------------------------------------------------ #
-    # Promotion / demotion / checkpointing
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_scalar(cls, evaluator: RAPQEvaluator) -> "ColumnarRAPQEvaluator":
-        """Intern a scalar evaluator's entire state (promotion).
-
-        Every order the scalar evaluator's behaviour depends on — snapshot
-        forward/backward adjacency, per-tree node insertion order, reverse
-        index — is adopted verbatim (interned), so the promoted evaluator
-        continues the stream exactly where the scalar one would have.
-        """
-        columnar = cls(
-            evaluator.analysis,
-            evaluator.window,
-            use_reverse_index=evaluator.use_reverse_index,
-            result_semantics=evaluator.result_semantics,
-            partition=evaluator.partition,
-        )
-        intern_vertex = columnar._vertices.intern
-        intern_label = columnar._intern_label
-        for edge in evaluator.snapshot.edges():
-            columnar.snapshot.insert(
-                intern_vertex(edge.source),
-                intern_vertex(edge.target),
-                intern_label(edge.label),
-                edge.timestamp,
-            )
-        columnar.snapshot.rebuild_expiry_queue()
-        columnar.snapshot.restore_in_order(
-            [
-                (
-                    intern_vertex(target),
-                    [(intern_vertex(source), intern_label(label)) for source, label in keys],
-                )
-                for target, keys in evaluator.snapshot.in_order()
-            ]
-        )
-        for tree in evaluator.index.trees():
-            interned_tree = columnar.index.get_or_create(intern_vertex(tree.root_vertex))
-            if getattr(tree, "root_cycle_reported", False):
-                interned_tree.root_cycle_reported = True
-            interned_tree.restore_nodes(
-                [
-                    (
-                        (intern_vertex(node.vertex), node.state),
-                        (intern_vertex(node.parent[0]), node.parent[1]),
-                        node.timestamp,
-                    )
-                    for node in tree.nodes()
-                    if node.parent is not None
-                ]
-            )
-            interned_tree.recompute_min()
-        columnar.index.restore_reverse_index(
-            {
-                intern_vertex(vertex): [intern_vertex(root) for root in roots]
-                for vertex, roots in evaluator.index.reverse_index().items()
-            }
-        )
-        columnar.results = evaluator.results
-        columnar._emission_keys = array("q", evaluator._emission_keys)
-        columnar._emission_seq = evaluator._emission_seq
-        columnar._current_time = evaluator._current_time
-        columnar._last_expiry_boundary = evaluator._last_expiry_boundary
-        columnar.stats.update(evaluator.stats)
-        return columnar
-
-    def to_scalar(self) -> RAPQEvaluator:
-        """Resolve the interned state into a fresh scalar evaluator (demotion).
-
-        The exact inverse of :meth:`from_scalar` — all orders preserved —
-        used by :meth:`checkpoint_state` so columnar evaluators emit the
-        standard scalar checkpoint format.
-        """
-        scalar = RAPQEvaluator(
-            self.analysis,
-            self.window,
-            use_reverse_index=self.use_reverse_index,
-            result_semantics=self.result_semantics,
-            partition=self.partition,
-        )
-        resolve = self._vertices.table
-        resolve_label = self._labels.table
-        for edge in self.snapshot.edges():
-            scalar.snapshot.insert(
-                resolve[edge.source], resolve[edge.target], resolve_label[edge.label], edge.timestamp
-            )
-        scalar.snapshot.restore_in_order(
-            [
-                (resolve[target], [(resolve[source], resolve_label[label]) for source, label in keys])
-                for target, keys in self.snapshot.in_order()
-            ]
-        )
-        for tree in self.index.trees():
-            resolved_tree = scalar.index.get_or_create(resolve[tree.root_vertex])
-            if getattr(tree, "root_cycle_reported", False):
-                resolved_tree.root_cycle_reported = True
-            resolved_tree.restore_nodes(
-                [
-                    (
-                        (resolve[node.vertex], node.state),
-                        (resolve[node.parent[0]], node.parent[1]),
-                        node.timestamp,
-                    )
-                    for node in tree.nodes()
-                    if node.parent is not None
-                ]
-            )
-        scalar.index.restore_reverse_index(
-            {
-                resolve[vertex]: [resolve[root] for root in roots]
-                for vertex, roots in self.index.reverse_index().items()
-            }
-        )
-        scalar.results = self.results.copy()
-        scalar._emission_keys = array("q", self._emission_keys)
-        scalar._emission_seq = self._emission_seq
-        scalar._current_time = self._current_time
-        scalar._last_expiry_boundary = self._last_expiry_boundary
-        scalar.stats.update(self.stats)
-        return scalar
-
-    def checkpoint_state(self) -> Dict:
-        """Order-exact checkpoint in the standard scalar format.
-
-        :func:`repro.core.checkpoint.checkpoint_rapq` dispatches here for
-        columnar evaluators; demoting first keeps the on-disk/wire format
-        identical to the scalar evaluator's, byte for byte.
-        """
-        from ..checkpoint import checkpoint_rapq
-
-        return checkpoint_rapq(self.to_scalar())
 
     def __str__(self) -> str:
         return (

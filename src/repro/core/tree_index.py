@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..graph.tuples import Vertex
 from .partition import vertex_sort_key
@@ -370,9 +370,31 @@ class TreeIndex:
         """
         return {vertex: list(roots) for vertex, roots in self._vertex_to_roots.items()}
 
-    def restore_reverse_index(self, entries: Dict[Vertex, List[Vertex]]) -> None:
-        """Adopt a recorded reverse map verbatim (checkpoint restore path)."""
-        self._vertex_to_roots = {vertex: {root: None for root in roots} for vertex, roots in entries.items()}
+    def restore_reverse_index(self, entries: Iterable[Tuple[Vertex, List[Vertex]]]) -> None:
+        """Adopt a recorded reverse map in its recorded order (checkpoint restore path).
+
+        Args:
+            entries: ``(vertex, roots)`` pairs as :meth:`reverse_index` lists
+                them, read after every tree has been restored.
+
+        Raises:
+            ValueError: if a vertex is listed twice, or the map is not, as
+                sets, the ``vertex -> roots`` membership of the trees.
+        """
+        recorded: Dict[Vertex, Dict[Vertex, None]] = {}
+        for vertex, roots in entries:
+            if vertex in recorded:
+                raise ValueError("corrupt checkpoint: reverse index lists a vertex twice")
+            recorded[vertex] = dict.fromkeys(roots)
+        membership: Dict[Vertex, Set[Vertex]] = {}
+        for root, tree in self._trees.items():
+            for vertex in tree._vertex_degree:
+                membership.setdefault(vertex, set()).add(root)
+        if {vertex: set(roots) for vertex, roots in recorded.items()} != membership:
+            raise ValueError(
+                "corrupt checkpoint: reverse index disagrees with the vertices the trees hold"
+            )
+        self._vertex_to_roots = recorded
 
     # ------------------------------------------------------------------ #
     # Statistics (Figure 5 reports these)

@@ -163,12 +163,14 @@ class SnapshotGraph:
         the entries must describe exactly the edges currently present.
 
         Raises:
-            ValueError: if the entries name an edge the snapshot does not
-                hold, or do not cover every edge.
+            ValueError: if the entries list a target twice, name an edge
+                the snapshot does not hold, or do not cover every edge.
         """
         rebuilt: Dict[Vertex, Dict[Tuple[Vertex, Label], int]] = {}
         covered = 0
         for target, keys in entries:
+            if target in rebuilt:
+                raise ValueError("corrupt checkpoint: backward adjacency lists a target twice")
             inner: Dict[Tuple[Vertex, Label], int] = {}
             for source, label in keys:
                 timestamp = self.edge_timestamp(source, target, label)

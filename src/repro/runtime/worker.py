@@ -50,7 +50,6 @@ from array import array
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..core.checkpoint import canonical_bytes, decode_rapq, encode_rapq
-from ..core.columnar import promote_evaluator
 from ..core.columnar.batch import ColumnarBatch
 from ..core.engine import StreamingRPQEngine
 from ..core.results import ResultStream
@@ -227,11 +226,7 @@ class ShardEngineServer:
             name, semantics, blob = payload[:3]
             op_id = payload[3] if len(payload) > 3 else None
             self._log_op(op, name, op_id)
-            # Promote restored evaluators onto the columnar fast path: the
-            # checkpoint blob is the scalar format-2 form (shippable,
-            # version-stable), and promotion is exact — the promoted
-            # evaluator continues the stream bit-identically.
-            self.engine.register_evaluator(name, promote_evaluator(decode_rapq(blob)), semantics)
+            self.engine.register_evaluator(name, decode_rapq(blob), semantics)
             return None
         if op == protocol.DEREGISTER:
             name, op_id = _named_payload(payload)
@@ -487,7 +482,7 @@ class ShardEngineServer:
         degraded = []
         for name, semantics, expression, blob, events in queries:
             if blob is not None:
-                self.engine.register_evaluator(name, promote_evaluator(decode_rapq(blob)), semantics)
+                self.engine.register_evaluator(name, decode_rapq(blob), semantics)
             else:
                 registered = self.engine.register(name, expression, semantics)
                 registered.evaluator.results = ResultStream.from_wire(events)

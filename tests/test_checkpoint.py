@@ -13,6 +13,8 @@ from repro.core.checkpoint import (
     restore_rapq,
     save_checkpoint,
 )
+from repro.core.columnar import ColumnarRAPQEvaluator
+from repro.errors import CheckpointError
 from repro.regex.analysis import analyze
 
 from helpers import insert_stream
@@ -130,11 +132,37 @@ class TestValidation:
             with pytest.raises(ValueError):
                 restore_rapq(state)
 
-    def test_unsupported_vertex_type_rejected(self):
-        evaluator = RAPQEvaluator("a", WindowSpec(size=10))
+    @pytest.mark.parametrize("evaluator_cls", [RAPQEvaluator, ColumnarRAPQEvaluator])
+    def test_unsupported_vertex_type_rejected(self, evaluator_cls):
+        evaluator = evaluator_cls("a", WindowSpec(size=10))
         evaluator.process(sgt(1, ("tuple", "vertex"), "b", "a"))
         with pytest.raises(TypeError):
             checkpoint_rapq(evaluator)
+
+    def test_in_adjacency_target_listed_twice_rejected(self):
+        evaluator = RAPQEvaluator("a b*", WindowSpec(size=100))
+        evaluator.process_stream(
+            insert_stream([(1, "x", "y", "a"), (2, "y", "z", "b"), (3, "w", "z", "b")])
+        )
+        state = checkpoint_rapq(evaluator)
+        rows = state["in_adjacency"]
+        at = next(i for i, (target, _) in enumerate(rows) if target == "z")
+        assert rows[at][1] == [["y", "b"], ["w", "b"]]
+        # Split z's row in two: adopting the second would drop y-[b]->z.
+        rows[at : at + 1] = [["z", [["y", "b"]]], ["z", [["w", "b"]]]]
+        with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+            restore_rapq(state)
+
+    def test_reverse_index_that_contradicts_the_trees_rejected(self):
+        evaluator = RAPQEvaluator("a b*", WindowSpec(size=100))
+        evaluator.process_stream(insert_stream([(1, "x", "y", "a"), (2, "y", "z", "b")]))
+        state = checkpoint_rapq(evaluator)
+        intact = restore_rapq(state)
+        assert intact.process(sgt(3, "z", "k", "b")) == [("x", "k")]
+        # Without z's row, z-[b]->k would visit no tree and report nothing.
+        state["reverse_index"] = [row for row in state["reverse_index"] if row[0] != "z"]
+        with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+            restore_rapq(state)
 
 
 class TestRobustLoading:

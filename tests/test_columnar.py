@@ -17,14 +17,13 @@ from typing import List
 import pytest
 
 from repro import RAPQEvaluator, WindowSpec, sgt
-from repro.core.checkpoint import checkpoint_rapq, decode_rapq, encode_rapq
+from repro.core.checkpoint import checkpoint_rapq, decode_rapq, encode_rapq, restore_rapq
 from repro.core.columnar import (
     COLUMNAR_MARKER,
     ColumnarBatch,
     ColumnarRAPQEvaluator,
     Interner,
     fastpath_name,
-    promote_evaluator,
 )
 from repro.core.engine import StreamingRPQEngine
 from repro.core.partition import RootPartition
@@ -193,54 +192,56 @@ def test_non_monotonic_timestamp_raises_in_irrelevant_run():
 
 
 def test_columnar_evaluator_owns_its_snapshot():
-    with pytest.raises(ValueError):
+    # The shared-snapshot options exist on the scalar class only.
+    with pytest.raises(TypeError):
         ColumnarRAPQEvaluator(QUERY, WINDOW, snapshot=SnapshotGraph())
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ColumnarRAPQEvaluator(QUERY, WINDOW, manage_snapshot=False)
 
 
 # --------------------------------------------------------------------- #
-# Checkpointing, promotion and demotion
+# Checkpointing, written and restored in place
 # --------------------------------------------------------------------- #
 
 
-def test_checkpoint_roundtrip_and_promotion():
+@pytest.mark.parametrize("evaluator_cls", [RAPQEvaluator, ColumnarRAPQEvaluator])
+def test_checkpoint_of_restore_is_the_checkpoint(evaluator_cls):
+    evaluator = evaluator_cls(QUERY, WINDOW)
+    evaluator.process_stream(make_stream(2000, seed=41))
+    restored = restore_rapq(checkpoint_rapq(evaluator))
+    assert type(restored) is ColumnarRAPQEvaluator
+    assert comparable_checkpoint(restored) == comparable_checkpoint(evaluator)
+
+
+def test_restored_evaluator_expires_on_time():
+    # Snapshot rows come in adjacency order (u's edges first), so the FIFO
+    # expiry queue must be re-sorted and the trees' expiry bounds
+    # recomputed on restore; otherwise w-a->x@5 outlives the window.
+    window = WindowSpec(size=10, slide=1)
+    stream = [sgt(1, "u", "v", "a"), sgt(5, "w", "x", "a"), sgt(6, "u", "y", "a")]
+    columnar = ColumnarRAPQEvaluator("a+", window)
+    columnar.process_stream(stream)
+    restored = decode_rapq(encode_rapq(columnar))
+    scalar = RAPQEvaluator("a+", window)
+    scalar.process_stream(stream)
+    for evaluator in (scalar, restored):
+        evaluator.observe(15)
+    assert restored.snapshot.num_edges == 1
+    assert restored.index.size_summary() == {"trees": 1, "nodes": 2}
+    assert_bit_identical(scalar, restored)
+
+
+def test_restored_evaluator_continues_bit_identically():
     stream = make_stream()
     half = len(stream) // 2
     columnar = ColumnarRAPQEvaluator(QUERY, WINDOW)
     feed_batched(columnar, stream[:half], 256)
+    restored = decode_rapq(encode_rapq(columnar))
+    feed_batched(restored, stream[half:], 256)
 
-    # The checkpoint is the standard scalar format: a plain scalar
-    # evaluator restores from it and continues the stream...
-    blob = encode_rapq(columnar)
-    restored_scalar = decode_rapq(blob)
-    assert type(restored_scalar) is RAPQEvaluator
-    restored_scalar.process_stream(stream[half:])
-
-    # ...and so does a promoted columnar evaluator, bit-identically.
-    promoted = promote_evaluator(decode_rapq(blob))
-    assert isinstance(promoted, ColumnarRAPQEvaluator)
-    feed_batched(promoted, stream[half:], 256)
-    assert_bit_identical(restored_scalar, promoted)
-
-    # The uninterrupted run agrees with both.
-    uninterrupted = ColumnarRAPQEvaluator(QUERY, WINDOW)
-    feed_batched(uninterrupted, stream, 256)
-    assert_bit_identical(restored_scalar, uninterrupted)
-
-
-def test_promote_evaluator_passes_non_scalar_through():
-    columnar = ColumnarRAPQEvaluator(QUERY, WINDOW)
-    assert promote_evaluator(columnar) is columnar
-
-
-def test_to_scalar_is_exact():
-    stream = make_stream(2000, seed=41)
-    columnar = ColumnarRAPQEvaluator(QUERY, WINDOW)
-    feed_batched(columnar, stream, 64)
-    scalar = RAPQEvaluator(QUERY, WINDOW)
-    scalar.process_stream(stream)
-    assert comparable_checkpoint(columnar.to_scalar()) == comparable_checkpoint(scalar)
+    uninterrupted = RAPQEvaluator(QUERY, WINDOW)
+    uninterrupted.process_stream(stream)
+    assert_bit_identical(uninterrupted, restored)
 
 
 # --------------------------------------------------------------------- #

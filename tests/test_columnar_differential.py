@@ -2,9 +2,10 @@
 
 Randomized streams — deletions, repeated edges, window slides, arbitrary
 batch splits, root partitioning — drive the scalar evaluator tuple at a
-time and the columnar evaluator through its batch entry point.  The two
-must be *bit-identical*: same result events in the same order, same
-emission keys, same checkpoint.
+time and the columnar evaluator through its batch entry point, with a
+checkpoint round trip at a drawn batch boundary.  The two must be
+*bit-identical*: same result events in the same order, same emission
+keys, same checkpoint.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import List, Tuple
 from hypothesis import given, settings, strategies as st
 
 from repro import RAPQEvaluator, WindowSpec
-from repro.core.checkpoint import checkpoint_rapq
+from repro.core.checkpoint import checkpoint_rapq, decode_rapq, encode_rapq
 from repro.core.columnar import ColumnarBatch, ColumnarRAPQEvaluator
 from repro.core.partition import RootPartition
 from repro.graph.tuples import EdgeOp, StreamingGraphTuple
@@ -61,17 +62,26 @@ def comparable_checkpoint(evaluator) -> dict:
     return state
 
 
-def assert_differential(stream, window, query, split, partition=None) -> None:
-    scalar = RAPQEvaluator(query, window, partition=partition)
+def assert_differential(stream, window, query, split, cut, result_semantics="implicit", partition=None):
+    """Scalar tuple at a time vs columnar in batches, checkpointed mid-stream.
+
+    At batch boundary ``cut`` (clamped to the last one) the columnar
+    evaluator is replaced by ``decode_rapq(encode_rapq(columnar))``; the
+    rest of the stream must not notice.
+    """
+    scalar = RAPQEvaluator(query, window, result_semantics=result_semantics, partition=partition)
     scalar.process_stream(stream)
 
-    columnar = ColumnarRAPQEvaluator(query, window, partition=partition)
     first, steady = split
-    cursor = 0
-    while cursor < len(stream):
-        size = first if cursor == 0 else steady
-        columnar.process_batch(ColumnarBatch.from_tuples(stream[cursor : cursor + size]))
-        cursor += size
+    batches = [stream[:first]] + [stream[i : i + steady] for i in range(first, len(stream), steady)]
+    cut = min(cut, len(batches))
+
+    columnar = ColumnarRAPQEvaluator(query, window, result_semantics=result_semantics, partition=partition)
+    for batch in batches[:cut]:
+        columnar.process_batch(ColumnarBatch.from_tuples(batch))
+    columnar = decode_rapq(encode_rapq(columnar))
+    for batch in batches[cut:]:
+        columnar.process_batch(ColumnarBatch.from_tuples(batch))
 
     assert scalar.results.to_wire() == columnar.results.to_wire()
     assert scalar.emission_keys == columnar.emission_keys
@@ -84,9 +94,11 @@ def assert_differential(stream, window, query, split, partition=None) -> None:
     window=windows(),
     query=st.sampled_from(QUERIES),
     split=batch_splits(),
+    cut=st.integers(min_value=0, max_value=40),
+    result_semantics=st.sampled_from(["implicit", "explicit"]),
 )
-def test_columnar_matches_scalar(stream, window, query, split):
-    assert_differential(stream, window, query, split)
+def test_columnar_matches_scalar(stream, window, query, split, cut, result_semantics):
+    assert_differential(stream, window, query, split, cut, result_semantics=result_semantics)
 
 
 @settings(max_examples=25, deadline=None)
@@ -95,7 +107,8 @@ def test_columnar_matches_scalar(stream, window, query, split):
     window=windows(),
     query=st.sampled_from(QUERIES),
     split=batch_splits(),
+    cut=st.integers(min_value=0, max_value=30),
     index=st.integers(min_value=0, max_value=2),
 )
-def test_columnar_matches_scalar_under_partitioning(stream, window, query, split, index):
-    assert_differential(stream, window, query, split, partition=RootPartition(index=index, count=3))
+def test_columnar_matches_scalar_under_partitioning(stream, window, query, split, cut, index):
+    assert_differential(stream, window, query, split, cut, partition=RootPartition(index=index, count=3))

@@ -118,16 +118,14 @@ class TestEvaluatorDelta:
             apply_evaluator_delta(state, {"delta_format": 99, "query": "a+"})
 
 
-class TestCrossVersionChain:
-    def test_v1_checkpoint_restores_then_deltas_then_restores(self):
-        """v1 -> v2 -> delta round trip: old checkpoints join new chains."""
-        stream = make_stream(1_200, seed=17)
+class TestFormatOneRefused:
+    def test_format_1_checkpoint_is_refused(self):
+        """A pre-ordering checkpoint cannot seed a chain: restore refuses it."""
         original = RAPQEvaluator("a b*", WINDOW)
-        for tup in stream[:600]:
+        for tup in make_stream(1_200, seed=17)[:600]:
             original.process(tup)
         v2_state = checkpoint_rapq(original)
-        # Downgrade to the format-1 layout: no iteration orders, no
-        # emission keys — exactly what a pre-PR-3 build wrote.
+        # The format-1 layout: no iteration orders, no emission keys.
         v1_state = {
             "format": 1,
             "query": v2_state["query"],
@@ -140,13 +138,8 @@ class TestCrossVersionChain:
             "trees": v2_state["trees"],
             "results": v2_state["results"],
         }
-        revived = restore_rapq(json.loads(json.dumps(v1_state)))
-        base = snapshot_state(revived)  # the revived evaluator's v2 form
-        for tup in stream[600:900]:
-            revived.process(tup)
-        delta = evaluator_delta(base, snapshot_state(revived))
-        rebuilt = restore_rapq(apply_evaluator_delta(base, delta))
-        assert future_events(rebuilt, stream[900:]) == future_events(revived, stream[900:])
+        with pytest.raises(CheckpointError, match="unsupported checkpoint format"):
+            restore_rapq(json.loads(json.dumps(v1_state)))
 
 
 class TestServiceDelta:
