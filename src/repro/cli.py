@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--shards", type=int, default=2, help="number of shard workers")
     serve_parser.add_argument("--batch-size", type=int, default=64, help="tuples per worker batch")
     serve_parser.add_argument(
-        "--queue-depth", type=int, default=8, help="bounded queue depth per worker, in batches"
+        "--queue-depth", type=int, default=8, help="bounded queue depth per out-of-process worker, in batches"
     )
     serve_parser.add_argument(
         "--backend",

@@ -32,12 +32,12 @@ Architecture — four cooperating pieces behind one facade::
   reports), all with compact tuple-based encodings — no closures or rich
   objects ever cross a worker boundary.
 * :mod:`~repro.runtime.worker` — :class:`ShardWorker`: a private
-  :class:`~repro.core.engine.StreamingRPQEngine` per shard, fed batches
-  from a bounded queue.  One serve loop, three transports:
-  :class:`ThreadShardWorker` (``threading`` backend, GIL-bound, wins by
-  label filtering), :class:`ProcessShardWorker` (``multiprocessing``
-  backend, true CPU parallelism; shard state ships as serialized frames)
-  and :class:`TcpShardWorker` (``tcp`` backend,
+  :class:`~repro.core.engine.StreamingRPQEngine` per shard.  Three
+  transports: :class:`InlineShardWorker` (``threading`` backend, batches
+  run on the coordinator thread as they flush; wins by label filtering),
+  and one serve loop fed from a bounded queue in :class:`ProcessShardWorker`
+  (``multiprocessing`` backend, true CPU parallelism; shard state ships
+  as serialized frames) and :class:`TcpShardWorker` (``tcp`` backend,
   :mod:`~repro.runtime.transport_tcp`: the coordinator dials
   ``repro worker --listen`` processes on remote hosts and the same frames
   flow over length-prefixed CRC-checked sockets — shards on other
@@ -171,10 +171,10 @@ from .service import StreamingQueryService
 from .transport_tcp import TcpShardWorker, TcpWorkerServer
 from .worker import (
     WORKER_BACKENDS,
+    InlineShardWorker,
     ProcessShardWorker,
     ShardEngineServer,
     ShardWorker,
-    ThreadShardWorker,
     create_worker,
 )
 
@@ -186,6 +186,7 @@ __all__ = [
     "WORKER_BACKENDS",
     "DurabilityManager",
     "HashPolicy",
+    "InlineShardWorker",
     "LabelAffinityPolicy",
     "LoadAwarePolicy",
     "ManualPolicy",
@@ -212,7 +213,6 @@ __all__ = [
     "TaggedResultEvent",
     "TcpShardWorker",
     "TcpWorkerServer",
-    "ThreadShardWorker",
     "collect_results",
     "configure_logging",
     "create_worker",

@@ -31,12 +31,13 @@ __all__ = [
 
 #: Concurrency backends implemented by :mod:`repro.runtime.worker`.  All
 #: speak the same wire protocol (:mod:`repro.runtime.protocol`); only the
-#: transport differs: ``"threading"`` runs workers on daemon threads (GIL
-#: bound — wins by label filtering only), ``"multiprocessing"`` in child
-#: processes (true CPU parallelism for the paper's CPU-bound algorithms),
-#: and ``"tcp"`` dials remote worker processes (``repro worker --listen``)
-#: over length-prefixed CRC-checked socket frames
-#: (:mod:`repro.runtime.transport_tcp`), requiring ``worker_addresses``.
+#: transport differs: ``"threading"`` evaluates batches inline on the
+#: coordinator thread (GIL bound — wins by label filtering only),
+#: ``"multiprocessing"`` in child processes (true CPU parallelism for the
+#: paper's CPU-bound algorithms), and ``"tcp"`` dials remote worker
+#: processes (``repro worker --listen``) over length-prefixed CRC-checked
+#: socket frames (:mod:`repro.runtime.transport_tcp`), requiring
+#: ``worker_addresses``.
 BACKENDS = ("threading", "multiprocessing", "tcp")
 
 
@@ -100,16 +101,15 @@ class RuntimeConfig:
 
     Attributes:
         shards: number of shard workers, each owning a private engine.
-        batch_size: tuples per batch handed to a worker queue; larger
-            batches amortize hand-off (and, for the multiprocessing
-            backend, serialization) overhead, smaller ones reduce the
-            latency until a tuple's results become visible.
-        queue_depth: bound (in batches) of each worker's input queue;
-            ``ingest`` blocks when a worker is this far behind
-            (backpressure instead of unbounded buffering).  The ``tcp``
-            backend applies the bound on the *worker* side, so the same
-            backpressure arrives at the coordinator through TCP flow
-            control.
+        batch_size: tuples per batch handed to a worker; larger batches
+            amortize per-batch (and, out of process, serialization)
+            overhead, smaller ones reduce the latency until a tuple's
+            results become visible.
+        queue_depth: bound (in batches) of an out-of-process worker's input
+            queue (``threading`` has none); ``ingest`` blocks when a worker
+            is this far behind (backpressure, not unbounded buffering).
+            The ``tcp`` backend applies the bound on the *worker* side, so
+            the same backpressure arrives through TCP flow control.
         backend: concurrency backend, one of :data:`BACKENDS`.
         worker_addresses: dial-out ``host:port`` addresses of the remote
             shard workers, one per shard in shard order.  Required by

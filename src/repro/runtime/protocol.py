@@ -4,11 +4,11 @@ Every interaction of :class:`~repro.runtime.service.StreamingQueryService`
 with a :class:`~repro.runtime.worker.ShardWorker` travels as one of the
 frames defined here — plain tuples of scalars, strings and ``bytes``, never
 closures or rich engine objects.  Every concurrency backend speaks exactly
-this protocol; only the transport differs (``queue.Queue`` for the
-``threading`` backend, ``multiprocessing.Queue`` for the
-``multiprocessing`` backend, length-prefixed CRC-checked socket frames for
-the ``tcp`` backend — :mod:`repro.runtime.transport_tcp`), so shard state
-is serializable by construction and a worker can live in another process
+this protocol; only the transport differs (direct calls for the
+``threading`` backend, ``multiprocessing.Queue`` for ``multiprocessing``,
+length-prefixed CRC-checked socket frames for ``tcp`` —
+:mod:`repro.runtime.transport_tcp`), so shard state is serializable by
+construction and a worker can live in another process
 or on another machine.
 
 Request frames (coordinator -> worker)

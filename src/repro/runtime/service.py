@@ -19,9 +19,9 @@ who does the work, never what is computed.
 The service never shares Python objects with its workers: every
 interaction (registration, batches, result fetches, checkpoints, metrics)
 is a typed frame of :mod:`repro.runtime.protocol`, so the same code drives
-the ``threading`` and ``multiprocessing`` backends.  Live results flow
-back over the workers' response queues and the optional ``on_result``
-callback is invoked on the coordinator thread while it pumps them.
+every backend.  Live results reach the optional ``on_result`` callback
+on the coordinator thread: in-process as soon as a batch is evaluated,
+out of process while the coordinator pumps the response queues.
 
 With a ``wal_dir`` configured the service is additionally *durable*: the
 coordinator write-ahead-logs every routed tuple and topology change (one
@@ -110,8 +110,8 @@ class StreamingQueryService:
         window: sliding-window specification shared by all queries.
         config: runtime tunables; defaults to :class:`RuntimeConfig()`.
         on_result: optional live callback ``(query, source, target,
-            timestamp)`` invoked on the coordinator thread — while it
-            pumps worker response queues — for every newly reported pair.
+            timestamp)`` invoked on the coordinator thread — in-process
+            or while it pumps response queues — for every newly reported pair.
     """
 
     def __init__(
@@ -1344,8 +1344,8 @@ class StreamingQueryService:
             finally:
                 if trace is not None:
                     # The root span covers coordinator-side buffering plus
-                    # the (possibly backpressured) enqueue; the worker's
-                    # process_batch span parents on it via the context.
+                    # the (possibly backpressured) enqueue or inline run;
+                    # the process_batch span parents on it via the context.
                     self.tracer.finish(trace[0], tuples=len(pending))
 
     def drain(self) -> None:

@@ -3,7 +3,7 @@
 This is the runtime's third transport.  The frames of
 :mod:`repro.runtime.protocol` are unchanged — ``REGISTER`` / ``BATCH`` /
 ``MIGRATE`` / ``METRICS`` / ... travel exactly as they do over the
-``threading`` and ``multiprocessing`` queues — only the byte pipe differs:
+``multiprocessing`` queues — only the byte pipe differs:
 each frame is serialized by a small tagged binary codec and shipped as one
 length-prefixed, CRC-checked unit over a TCP connection.
 

@@ -23,15 +23,15 @@ Three cooperating pieces implement this:
 * :class:`ShardWorker` — the coordinator-side proxy: typed methods
   (``register_query``, ``fetch_results``, ``checkpoint_query``, ...) that
   frame requests, await replies and re-raise worker errors.  Transports
-  subclass it: :class:`ThreadShardWorker` runs :func:`serve_shard` on a
-  daemon thread over ``queue.Queue``; :class:`ProcessShardWorker` runs it
-  in a child process over ``multiprocessing.Queue``, escaping the GIL for
-  CPU-bound workloads; :class:`~repro.runtime.transport_tcp.TcpShardWorker`
+  subclass it: :class:`InlineShardWorker` calls the server on the
+  coordinator thread, with no queue or thread; :class:`ProcessShardWorker`
+  runs :func:`serve_shard` in a child process over ``multiprocessing.Queue``,
+  escaping the GIL; :class:`~repro.runtime.transport_tcp.TcpShardWorker`
   dials a remote ``repro worker --listen`` process and runs the same loop
   over CRC-checked socket frames — shards on other machines.
 
-The bounded request queue provides backpressure: ``submit`` blocks once
-the worker is ``queue_depth`` batches behind.
+Out of process, the bounded request queue provides backpressure:
+``submit`` blocks once the worker is ``queue_depth`` batches behind.
 
 Because every frame payload is plain scalars/bytes, shard state is
 explicitly serializable: the process backend boots its child from replayed
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import multiprocessing
 import queue
-import threading
 import time
 from array import array
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -66,7 +65,7 @@ from .observability.tracing import Tracer, parse_context
 __all__ = [
     "ShardEngineServer",
     "ShardWorker",
-    "ThreadShardWorker",
+    "InlineShardWorker",
     "ProcessShardWorker",
     "WORKER_BACKENDS",
     "create_worker",
@@ -111,7 +110,7 @@ class ShardEngineServer:
     """Executes protocol frames against a private engine.
 
     This is the *server* half of the worker protocol, shared verbatim by
-    every backend: the threading transport runs it on a daemon thread, the
+    every backend: the in-process backend on the coordinator thread, the
     multiprocessing transport in a child process, and a stopped worker
     executes control frames against it inline for assembly and inspection.
     """
@@ -138,7 +137,7 @@ class ShardEngineServer:
 
     # Batches ----------------------------------------------------------- #
 
-    def process_batch(self, batch, collect_results: bool, ctx=None) -> Optional[Tuple]:
+    def process_batch(self, batch, collect_results: bool, ctx=None, wire: bool = True) -> Optional[Sequence]:
         """Process one batch; optionally collect live results.
 
         ``batch`` is a :class:`~repro.core.columnar.ColumnarBatch`, or its
@@ -146,9 +145,9 @@ class ShardEngineServer:
         form is refused with :class:`~repro.errors.WireProtocolError`
         before anything is applied.
 
-        Returns the ``EVENTS`` payload (``(query, source, target, tau)``
-        records) when ``collect_results`` and the batch produced any, else
-        ``None``.
+        Returns the ``(query, source, target, tau)`` events when
+        ``collect_results`` and the batch produced any, else ``None``: the
+        ``EVENTS`` payload, or with ``wire=False`` the engine's own list.
 
         ``ctx`` is the optional frame-borne trace context of a *sampled*
         batch: when present, evaluation is wrapped in a child span parented
@@ -196,7 +195,7 @@ class ShardEngineServer:
                     SLOW_BATCH_SECONDS,
                     extra={"shard": self.shard_id},
                 )
-        return protocol.encode_events(events) if events else None
+        return protocol.encode_events(events) if wire and events else events
 
     # Control frames ---------------------------------------------------- #
 
@@ -564,8 +563,8 @@ class ShardWorker:
         shard_id: position of this worker in the service's shard list.
         window: window specification shared by every query on the shard.
         config: runtime configuration (queue depth is read from it).
-        on_result: optional live-result callback, invoked from the
-            coordinator thread (while it pumps response frames) as
+        on_result: optional live-result callback, invoked on the
+            coordinator thread (in-process, or while it pumps responses) as
             ``on_result(query_name, source, target, timestamp)`` for every
             newly reported pair.
     """
@@ -595,7 +594,7 @@ class ShardWorker:
 
     #: Whether the ``STOP`` reply must carry final shard state back (the
     #: transport's memory does not outlive the worker).
-    ship_state_on_stop = False
+    ship_state_on_stop = True
 
     def _make_channels(self) -> Tuple:
         """Return the ``(requests, responses)`` queue pair."""
@@ -956,48 +955,50 @@ class ShardWorker:
             ) from self._failure
 
 
-class ThreadShardWorker(ShardWorker):
-    """Shard worker backed by a daemon ``threading.Thread``.
+class InlineShardWorker(ShardWorker):
+    """In-process shard worker: no queue, no thread, no wire round trip.
 
-    The serve loop shares the proxy's :class:`ShardEngineServer` object, so
-    post-stop state is naturally current and ``STOP`` ships no state.
-    Python threads share the GIL: this backend wins by label filtering
-    (each shard only touches tuples its queries can use), not CPU
-    parallelism — use :class:`ProcessShardWorker` for that.
+    ``submit`` evaluates the batch on the caller's thread and hands its
+    events to ``on_result`` before returning; control ops call the server
+    directly.  A failing batch poisons the shard as in :func:`serve_shard`.
     """
 
     backend = "threading"
-    ship_state_on_stop = False
+    running = False
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._thread: Optional[threading.Thread] = None
+    def start(self) -> None:
+        """Mark the shard running; there is nothing to launch."""
+        if self.running:
+            raise RuntimeStateError(f"shard {self.shard_id} is already running")
+        self._check_failure()  # a poisoned shard cannot be restarted
+        self.running = True
 
-    def _make_channels(self):
-        return queue.Queue(maxsize=self.config.queue_depth), queue.Queue()
+    def submit(self, batch: Sequence[StreamingGraphTuple], trace_ctx=None) -> None:
+        """Evaluate one batch now and dispatch its live results."""
+        self._check_failure()
+        if not self.running:
+            raise RuntimeStateError(f"shard {self.shard_id} is not running; call start() first")
+        try:
+            events = self._server.process_batch(
+                ColumnarBatch.from_tuples(batch), self.on_result is not None, trace_ctx, wire=False
+            )
+        except BaseException as exc:
+            self._failure = exc
+            if isinstance(exc, Exception):
+                return
+            raise  # an interrupt poisons the shard too, but propagates now
+        for event in events or ():
+            self.on_result(*event)
 
-    def _launch(self) -> None:
-        self._thread = threading.Thread(
-            target=serve_shard,
-            args=(
-                self._server,
-                self._requests,
-                self._responses,
-                self.on_result is not None,
-                self.ship_state_on_stop,
-            ),
-            name=f"repro-shard-{self.shard_id}",
-            daemon=True,
-        )
-        self._thread.start()
+    def request(self, op: str, payload=None):
+        """Execute one control op directly against the server."""
+        self._check_failure()
+        return self._server.execute(op, payload)
 
-    def _transport_alive(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
-    def _join(self) -> None:
-        if self._thread is not None:
-            self._thread.join()
-        self._thread = None
+    def stop(self) -> None:
+        """Mark the shard stopped, then re-raise a sticky failure."""
+        self.running = False
+        self._check_failure()
 
 
 def _mp_context():
@@ -1040,11 +1041,10 @@ class ProcessShardWorker(ShardWorker):
     state back so a stopped worker remains inspectable — and, for
     arbitrary-semantics queries, restartable — at the coordinator.  Result
     streams, metrics and checkpoints all travel the same typed frames as
-    the threading backend; only the queue implementation differs.
+    the tcp backend; only the channel implementation differs.
     """
 
     backend = "multiprocessing"
-    ship_state_on_stop = True
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -1085,7 +1085,7 @@ class ProcessShardWorker(ShardWorker):
 
 #: Registry of concurrency backends, keyed by ``RuntimeConfig.backend``.
 WORKER_BACKENDS = {
-    ThreadShardWorker.backend: ThreadShardWorker,
+    InlineShardWorker.backend: InlineShardWorker,
     ProcessShardWorker.backend: ProcessShardWorker,
 }
 

@@ -85,7 +85,8 @@ class TestEquivalenceWithSingleThreadedEngine:
         """batch_size=1 and queue_depth=1 exercise the blocking-queue path."""
         stream = synthetic_stream(600, deletion_ratio=0.2, seed=9)
         expected = reference_triples(stream)
-        config = RuntimeConfig(shards=2, batch_size=1, queue_depth=1)
+        # The in-process backend has no queue; only out-of-process ones block.
+        config = RuntimeConfig(shards=2, batch_size=1, queue_depth=1, backend="multiprocessing")
         assert service_triples(stream, config) == expected
 
     def test_negative_events_preserved(self):
@@ -198,6 +199,35 @@ class TestResultsAndMetrics:
             service.drain()
             expected = {(name, *triple) for name in QUERIES for triple in service.result_triples(name)}
         assert set(seen) == expected
+
+    def test_results_arrive_within_the_flushing_ingest(self):
+        seen = []
+        service = StreamingQueryService(
+            WINDOW,
+            RuntimeConfig(shards=1, batch_size=4),
+            on_result=lambda *event: seen.append(event),
+        )
+        service.register("q", "a+")
+        with service:
+            for timestamp, (source, target) in enumerate(["uv", "vw", "wx"], start=1):
+                service.ingest_one(sgt(timestamp, source, target, "a"))
+            assert seen == []  # the batch is still buffering
+            service.ingest_one(sgt(4, "x", "y", "a"))  # fills and flushes it
+            assert ("q", "u", "y", 4) in seen and len(seen) == 10
+
+    def test_in_process_backend_starts_no_thread(self):
+        stream = synthetic_stream(400, deletion_ratio=0.0, seed=13)
+        service = StreamingQueryService(WINDOW, RuntimeConfig(shards=1, batch_size=16))
+        service.register("q", "a+")
+        before = threading.active_count()
+        with service:
+            assert threading.active_count() == before
+            worker = service.workers[0]
+            service.ingest(stream[:200])
+            busy = worker.metrics()["busy_seconds"]
+            assert busy > 0 and worker.queue_depth() == 0
+            service.ingest(stream[200:])
+            assert worker.metrics()["busy_seconds"] > busy
 
     def test_summary_aggregates_shards_and_queries(self):
         stream = synthetic_stream(1_000, deletion_ratio=0.1, seed=7)
